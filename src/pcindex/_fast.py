@@ -17,6 +17,7 @@ pinned separately by tests that run both routes on the same stream.
 """
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +38,14 @@ class Tables(NamedTuple):
     product), and the ``need`` words are bitmasks of the slots a cycle
     or path uses.  Paths are grouped by pair; ``path_starts`` are the
     reduceat boundaries in lexicographic pair order.
+
+    The compact slot tables ``cyc_slots`` (n x cycles) and
+    ``path_slots`` ((n - 1) x paths) hold, per hop, the unsigned slot id
+    each cycle or path uses, as the smallest unsigned integer type that
+    fits (uint8 for n <= 8).  Shorter cycles and paths are padded with
+    the extra slot id E, which no mask can remove.  ``path_pair`` is the
+    pair (slot) each path connects.  Nested removal chains are scored
+    from these alone; the dense rows still give the log products.
     """
 
     n: int
@@ -49,6 +58,9 @@ class Tables(NamedTuple):
     path_rows: np.ndarray
     path_need: np.ndarray
     path_starts: np.ndarray
+    cyc_slots: np.ndarray
+    path_slots: np.ndarray
+    path_pair: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,45 +69,44 @@ def get_tables(n):
     g = build_graph(PCMatrix(np.ones((n, n))))
     pairs = g.edges  # complete graph: all (i, j), i < j, lexicographic
     ecount = len(pairs)
-    slot = {p: s for s, p in enumerate(pairs)}
     iu = np.array([p[0] for p in pairs])
     ju = np.array([p[1] for p in pairs])
     binc = np.zeros((n, ecount))
-    for s, (i, j) in enumerate(pairs):
-        binc[i, s] = 1.0
-        binc[j, s] = -1.0
+    binc[iu, np.arange(ecount)] = 1.0
+    binc[ju, np.arange(ecount)] = -1.0
 
-    def signed_row(hops):
-        row = np.zeros(ecount)
-        need = 0
-        for a, b in hops:
-            if a < b:
-                s = slot[(a, b)]
-                row[s] += 1.0
-            else:
-                s = slot[(b, a)]
-                row[s] -= 1.0
-            need |= 1 << s
-        return row, need
+    # hop (a, b) -> slot id and sign; vertex n pads short walks, and any
+    # hop touching it lands on the padding slot E with sign 0
+    slot_type = np.min_scalar_type(ecount)
+    slot_of = np.full((n + 1, n + 1), ecount, dtype=slot_type)
+    sign_of = np.zeros((n + 1, n + 1))
+    slot_of[iu, ju] = slot_of[ju, iu] = np.arange(ecount)
+    sign_of[iu, ju] = 1.0
+    sign_of[ju, iu] = -1.0
 
-    cyc_rows = []
-    cyc_need = []
-    for c in enumerate_cycles(g, 3):
-        vs = c.vertices
-        row, need = signed_row(list(zip(vs, vs[1:])) + [(vs[-1], vs[0])])
-        cyc_rows.append(row)
-        cyc_need.append(need)
+    def hop_table(walks, width):
+        """Slot ids (width x walks), dense signed rows and need words of the walks."""
+        count = len(walks)
+        flat = itertools.chain.from_iterable(w + (n,) * (width + 1 - len(w)) for w in walks)
+        v = np.fromiter(flat, dtype=np.intp, count=count * (width + 1)).reshape(count, width + 1).T
+        ids = np.ascontiguousarray(slot_of[v[:-1], v[1:]])
+        used = ids < ecount
+        obj = np.broadcast_to(np.arange(count), ids.shape)[used]
+        rows = np.zeros((count, ecount))
+        rows[obj, ids[used]] = sign_of[v[:-1], v[1:]][used]
+        bits = np.where(used, np.uint64(1) << ids.astype(np.uint64), np.uint64(0))
+        return ids, rows, np.bitwise_or.reduce(bits, axis=0)
 
-    path_rows = []
-    path_need = []
+    cycles = [c.vertices + c.vertices[:1] for c in enumerate_cycles(g, 3)]
+    cyc_slots, cyc_rows, cyc_need = hop_table(cycles, n)
+
+    paths = []
     starts = []
     for i, j in pairs:
-        starts.append(len(path_rows))
-        for p in enumerate_paths(g, i, j):
-            vs = p.vertices
-            row, need = signed_row(list(zip(vs, vs[1:])))
-            path_rows.append(row)
-            path_need.append(need)
+        starts.append(len(paths))
+        paths.extend(p.vertices for p in enumerate_paths(g, i, j))
+    path_slots, path_rows, path_need = hop_table(paths, n - 1)
+    path_pair = np.repeat(np.arange(ecount, dtype=slot_type), np.diff(starts + [len(paths)]))
 
     return Tables(
         n,
@@ -103,11 +114,14 @@ def get_tables(n):
         iu,
         ju,
         binc,
-        np.array(cyc_rows),
-        np.array(cyc_need, dtype=np.uint64),
-        np.array(path_rows),
-        np.array(path_need, dtype=np.uint64),
+        cyc_rows,
+        cyc_need,
+        path_rows,
+        path_need,
         np.array(starts, dtype=np.intp),
+        cyc_slots,
+        path_slots,
+        path_pair,
     )
 
 
@@ -123,17 +137,22 @@ def indices_for_masks(t, logvals, masks, alpha=0.5, beta=0.3):
     matrix; ``masks`` is (R, E) boolean, True where the comparison is
     kept.  Every mask row must describe a connected graph.  Returns an
     (R, 14) float array whose columns follow INDEX_NAMES.
+
+    The cycle family and SH take one of two routes, chosen from the
+    rows themselves.  When the rows are nested (no row keeps a
+    comparison its predecessor dropped, as along a removal chain), a
+    slot's life is the number of rows that keep it, and a cycle or path
+    is alive exactly in rows 0 .. life - 1, its life being the least
+    life over the slots it uses.  Per-life statistics, accumulated in
+    reverse, then give every row in one O(cycles + paths) pass.  Other
+    rows (independent removal sets) are scored row by row against the
+    slot bitmasks.
     """
     n = t.n
-    ecount = len(t.pairs)
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim == 1:
         masks = masks[None, :]
     rows = masks.shape[0]
-
-    bits = (masks.astype(np.uint64) << np.arange(ecount, dtype=np.uint64)).sum(axis=1)
-    cyc_ok = (t.cyc_need[None, :] & ~bits[:, None]) == 0
-    path_ok = (t.path_need[None, :] & ~bits[:, None]) == 0
 
     logr = t.cyc_rows @ logvals
     r = np.exp(logr)
@@ -186,7 +205,39 @@ def indices_for_masks(t, logvals, masks, alpha=0.5, beta=0.3):
     ostar = om / om.sum(axis=1)[:, None, :]
     gw = np.abs(cstar - ostar).sum(axis=(1, 2)) / n
 
+    nested = not (masks[1:] & ~masks[:-1]).any()
+    kt, i1, i2, sh = (_by_survival if nested else _by_mask)(t, ks, pi, masks)
+
     out = np.empty((rows, 14))
+    out[:, 0] = kt
+    out[:, 1] = i1
+    out[:, 2] = i2
+    out[:, 3] = alpha * kt + (1.0 - alpha) * i1
+    out[:, 4] = beta * kt + beta * i1 + (1.0 - 2.0 * beta) * i2
+    out[:, 5] = sh
+    out[:, 6] = gci1
+    out[:, 7] = gci2
+    out[:, 8] = gw
+    out[:, 9] = re1
+    out[:, 10] = re2
+    out[:, 11] = ci
+    out[:, 12] = lls
+    out[:, 13] = oliva
+    return out
+
+
+def _sh(n, lo, hi):
+    """SH from the per-pair extreme path products (last axis: pairs)."""
+    return 2.0 / (n * (n - 1)) * ((hi - lo) / ((1.0 + hi) * (1.0 + lo))).sum(axis=-1)
+
+
+def _by_mask(t, ks, pi, masks):
+    """(Ktilde, I1, I2, SH) per row, testing every cycle and path against the row."""
+    rows, ecount = masks.shape
+    bits = (masks.astype(np.uint64) << np.arange(ecount, dtype=np.uint64)).sum(axis=1)
+    cyc_ok = (t.cyc_need[None, :] & ~bits[:, None]) == 0
+    path_ok = (t.path_need[None, :] & ~bits[:, None]) == 0
+    stats = np.empty((4, rows))
     for q in range(rows):
         alive = ks[cyc_ok[q]]
         if alive.size:
@@ -197,22 +248,46 @@ def indices_for_masks(t, logvals, masks, alpha=0.5, beta=0.3):
             kt = i1 = i2 = 0.0
         lo = np.minimum.reduceat(np.where(path_ok[q], pi, np.inf), t.path_starts)
         hi = np.maximum.reduceat(np.where(path_ok[q], pi, -np.inf), t.path_starts)
-        sh = 2.0 / (n * (n - 1)) * float(((hi - lo) / ((1.0 + hi) * (1.0 + lo))).sum())
-        out[q, 0] = kt
-        out[q, 1] = i1
-        out[q, 2] = i2
-        out[q, 3] = alpha * kt + (1.0 - alpha) * i1
-        out[q, 4] = beta * kt + beta * i1 + (1.0 - 2.0 * beta) * i2
-        out[q, 5] = sh
-    out[:, 6] = gci1
-    out[:, 7] = gci2
-    out[:, 8] = gw
-    out[:, 9] = re1
-    out[:, 10] = re2
-    out[:, 11] = ci
-    out[:, 12] = lls
-    out[:, 13] = oliva
-    return out
+        stats[:, q] = kt, i1, i2, _sh(t.n, lo, hi)
+    return stats
+
+
+def _by_survival(t, ks, pi, masks):
+    """(Ktilde, I1, I2, SH) per row of a nested chain, from survival lengths.
+
+    Row q sees exactly the cycles and paths whose life exceeds q, so
+    each statistic is binned by life once and summed (or maxed, or
+    minned) over the bins above q by a reverse accumulation.
+    """
+    rows, ecount = masks.shape
+    life = np.append(masks.sum(axis=0), rows).astype(np.min_scalar_type(rows))
+    bins = rows + 1
+
+    cyc_life = np.take(life, t.cyc_slots).min(axis=0)
+    count = _tail(np.add, np.bincount(cyc_life, minlength=bins))
+    total = _tail(np.add, np.bincount(cyc_life, ks, bins))
+    squares = _tail(np.add, np.bincount(cyc_life, ks * ks, bins))
+    top = np.zeros(bins)
+    np.maximum.at(top, cyc_life, ks)
+    kt = _tail(np.maximum, top)
+    some = count > 0
+    per = np.where(some, count, 1)
+    i1 = np.where(some, total / per, 0.0)
+    i2 = np.where(some, np.sqrt(squares) / per, 0.0)
+
+    cell = np.take(life, t.path_slots).min(axis=0).astype(np.intp) * ecount + t.path_pair
+    lo = np.full(bins * ecount, np.inf)
+    hi = np.full(bins * ecount, -np.inf)
+    np.minimum.at(lo, cell, pi)
+    np.maximum.at(hi, cell, pi)
+    lo = _tail(np.minimum, lo.reshape(bins, ecount))
+    hi = _tail(np.maximum, hi.reshape(bins, ecount))
+    return kt, i1, i2, _sh(t.n, lo, hi)
+
+
+def _tail(op, per_life):
+    """Row q's aggregate over lives q+1 .. R: reverse accumulation, bin 0 dropped."""
+    return op.accumulate(per_life[::-1], axis=0)[::-1][1:]
 
 
 def _ratio_or_zero(num, den):

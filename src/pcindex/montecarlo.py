@@ -17,6 +17,7 @@ reduction over bases is a fixed-order sum.
 """
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import _fast
 from .core import BadSize, NotComplete, NotIrreducible, PCError, PCMatrix, is_complete
-from .graph import build_graph, is_irreducible
+from .graph import FREE_ENUMERATION_LIMIT, build_graph, is_irreducible
 from .indices import INDEX_NAMES, BadParams, BlendParams, all_indices
 
 __all__ = [
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 class BadK(PCError):
     """Removal count outside 0..(defined pairs - spanning tree size)."""
 
@@ -58,7 +62,9 @@ class ExperimentConfig:
     consistent entries stay within weight_range**2.  gamma_dist picks
     how the disturbance coefficient is drawn on [1/d, d]; with
     independent_removals each k gets a fresh removal set instead of the
-    default nested chain.
+    default nested chain.  n stops at the largest size with cycle and
+    path tables, and weight_range**4 * d_max**(2*(n-1)) must be a finite
+    float; both are checked here, before any work starts.
     """
 
     n: int = 7
@@ -73,8 +79,11 @@ class ExperimentConfig:
     independent_removals: bool = False
 
     def __post_init__(self):
-        if self.n < 3:
-            raise BadParams("n must be at least 3, got %r" % (self.n,))
+        if not 3 <= self.n <= FREE_ENUMERATION_LIMIT:
+            raise BadParams(
+                "n must lie in 3..%d (cycle and path tables), got %r"
+                % (FREE_ENUMERATION_LIMIT, self.n)
+            )
         if self.base_matrices < 1:
             raise BadParams("base_matrices must be positive, got %r" % (self.base_matrices,))
         if self.d_max < 1:
@@ -89,6 +98,15 @@ class ExperimentConfig:
         BlendParams(self.beta, self.beta)
         if self.weight_range < 1.0:
             raise BadParams("weight_range must be >= 1, got %r" % (self.weight_range,))
+        # the largest path product is weight_range**2 * d_max**(n-1), and SH
+        # multiplies two of them; its square must stay a finite float
+        top = 2.0 * math.log(self.weight_range) + (self.n - 1) * math.log(self.d_max)
+        if not 2.0 * top < _LOG_FLOAT_MAX:
+            raise BadParams(
+                "weight_range %r with d_max=%d and n=%d overflows floats: need "
+                "weight_range**4 * d_max**(2*(n-1)) below %.3g"
+                % (self.weight_range, self.d_max, self.n, sys.float_info.max)
+            )
         if self.gamma_dist not in ("uniform", "loguniform"):
             raise BadParams("gamma_dist must be 'uniform' or 'loguniform', got %r" % (self.gamma_dist,))
         if not isinstance(self.seed, int):

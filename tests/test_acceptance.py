@@ -2,9 +2,12 @@
 
 Every criterion is checked at its stated tolerance; the verdict lines are
 echoed again in the terminal summary (see conftest) so a plain ``pytest -v``
-run shows all seven outcomes at a glance.
+run shows all seven outcomes at a glance.  Two behaviour pins follow: the
+SHA-256 of the CSV output of the desk run and of a small n=8 run, so a
+change that claims to keep the experiment's output can show it did.
 """
 
+import hashlib
 import math
 import time
 
@@ -40,6 +43,13 @@ from tests.conftest import (
 )
 
 DESK = ExperimentConfig(n=7, base_matrices=200, d_max=30, removals_max=15, seed=20260815)
+# nested chains down to a spanning tree on the largest tabulated n
+WIDE = ExperimentConfig(n=8, base_matrices=10, d_max=3, removals_max=21, seed=20260815)
+
+# SHA-256 of distance_csv + totals_csv, taken with the per-row evaluation of
+# every chain row; a mismatch means some printed digit of the output moved
+DESK_SHA256 = "9a445474042a5983fd1713b75bfb7b9111ff408f5aa1f049545b5441bf00210f"
+WIDE_SHA256 = "81e2cf95e9d79d3daa77aba9e786873039d739fe8eb1bd1e8bf44b14382b6993"
 
 
 def _report(num, ok, detail):
@@ -236,3 +246,15 @@ def test_criterion_7_determinism(desk_runs):
         if same
         else "CSV output differs between runs",
     )
+
+
+def _csv_sha256(table):
+    return hashlib.sha256((distance_csv(table) + totals_csv(table)).encode()).hexdigest()
+
+
+def test_desk_csv_pin(desk_runs):
+    assert _csv_sha256(desk_runs[0]) == DESK_SHA256
+
+
+def test_wide_csv_pin():
+    assert _csv_sha256(run_experiment(WIDE)) == WIDE_SHA256

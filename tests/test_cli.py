@@ -1,6 +1,8 @@
 """End-to-end CLI checks, driven through main(argv) with captured output."""
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -213,3 +215,39 @@ def test_experiment_unwritable_out(tmp_path, capsys):
     args = ["experiment", *EXP_ARGS, "--out", str(tmp_path / "no" / "dir" / "x")]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _no_files_and_no_traceback(tmp_path, capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_weight_range_overflow(tmp_path, capsys):
+    args = ["experiment", "--n", "5", "--matrices", "3", "--dmax", "2", "--removals", "3",
+            "--weight-range", "1e200", "--out", str(tmp_path / "x")]
+    assert main(args) == 5
+    _no_files_and_no_traceback(tmp_path, capsys)
+
+
+def test_experiment_weight_range_just_inside_bound(tmp_path, capsys):
+    # weight_range**4 * d_max**(2*(n-1)) just below the largest float
+    n, d = 5, 2
+    edge = math.exp((math.log(sys.float_info.max) / 2.0 - (n - 1) * math.log(d)) / 2.0)
+    prefix = str(tmp_path / "x")
+    args = ["experiment", "--n", str(n), "--matrices", "3", "--dmax", str(d), "--removals", "3",
+            "--weight-range", repr(edge * 0.9999), "--out", prefix]
+    assert main(args) == 0
+    capsys.readouterr()
+    for suffix, column in (("_distance.csv", 2), ("_totals.csv", 1)):
+        rows = (tmp_path / ("x" + suffix)).read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(r.split(",")[column])) for r in rows)
+    assert main(args[:-4] + ["--weight-range", repr(edge), "--out", prefix + "_edge"]) == 5
+    capsys.readouterr()
+
+
+def test_experiment_n_beyond_tables(tmp_path, capsys):
+    args = ["experiment", "--n", "9", "--matrices", "1", "--dmax", "1", "--removals", "1",
+            "--out", str(tmp_path / "x")]
+    assert main(args) == 5
+    _no_files_and_no_traceback(tmp_path, capsys)

@@ -30,7 +30,8 @@ from pcindex import (
     run_experiment,
     total_distance,
 )
-from pcindex.montecarlo import _stream_values, distance_csv, ranking, totals_csv
+from pcindex import _fast
+from pcindex.montecarlo import _chain_masks, _stream_values, distance_csv, ranking, totals_csv
 
 
 def test_gen_consistent_properties():
@@ -165,6 +166,14 @@ def test_config_validation():
         ExperimentConfig(gamma_dist="gauss")
     with pytest.raises(BadParams):
         ExperimentConfig(seed="abc")
+    ExperimentConfig(n=8, removals_max=21)
+    with pytest.raises(BadParams):
+        ExperimentConfig(n=9, removals_max=1)  # no cycle and path tables beyond n=8
+    for wide in (1e200, float("inf"), float("nan")):
+        with pytest.raises(BadParams):
+            ExperimentConfig(n=5, d_max=2, removals_max=3, weight_range=wide)
+    with pytest.raises(BadParams):
+        ExperimentConfig(n=8, d_max=10**51, removals_max=1)  # d_max**(2*(n-1)) alone overflows
 
 
 SMALL = dict(n=5, base_matrices=2, d_max=3, removals_max=6, seed=99)
@@ -206,6 +215,52 @@ def test_fast_path_matches_public_route():
                         k,
                         name,
                     )
+
+
+def _by_mask_only(monkeypatch, t, logvals, masks):
+    """indices_for_masks with the survival route swapped for the per-row mask route."""
+    with monkeypatch.context() as mp:
+        mp.setattr(_fast, "_by_survival", _fast._by_mask)
+        return _fast.indices_for_masks(t, logvals, masks)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_survival_route_matches_mask_route(n, monkeypatch):
+    t = _fast.get_tables(n)
+    spare = len(t.pairs) - (n - 1)
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(3):
+        logvals = rng.normal(0.0, 1.0, len(t.pairs))
+        chain = _chain_masks(n, t.pairs, spare, rng, False)
+        cases = {
+            "to spanning tree": chain,
+            "single row": chain[:1],
+            "single tree row": chain[-1],
+            "row 0 incomplete": chain[2:],
+            "repeated rows": np.repeat(chain, 2, axis=0),
+        }
+        for name, masks in cases.items():
+            got = _fast.indices_for_masks(t, logvals, masks)
+            want = _by_mask_only(monkeypatch, t, logvals, masks)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+        # a spanning tree has no cycle: the whole cycle family is exactly 0
+        last = _fast.indices_for_masks(t, logvals, chain)[-1]
+        assert (last[:5] == 0.0).all()
+
+
+def test_rows_that_do_not_nest_take_the_mask_route(monkeypatch):
+    t = _fast.get_tables(6)
+    rng = np.random.default_rng(17)
+    logvals = rng.normal(0.0, 1.0, len(t.pairs))
+    masks = _chain_masks(6, t.pairs, 10, rng, True)
+    assert (masks[1:] & ~masks[:-1]).any()
+    with monkeypatch.context() as mp:
+        mp.setattr(_fast, "_by_survival", None)  # any use of it would fail
+        got = _fast.indices_for_masks(t, logvals, masks)
+    assert np.array_equal(got, _fast.indices_for_masks(t, logvals, masks))
+    # each row on its own is a one-row chain, scored by survival
+    alone = np.vstack([_fast.indices_for_masks(t, logvals, mk) for mk in masks])
+    np.testing.assert_allclose(alone, got, rtol=1e-12, atol=0.0)
 
 
 def test_run_experiment_small_invariants():
