@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import PCMatrix
 from .graph import build_graph, enumerate_cycles, enumerate_paths
+from .indices import DEFAULT_ALPHA, DEFAULT_BETA, blend
 
 __all__ = ["Tables", "get_tables", "consistent_logvals", "indices_for_masks"]
 
@@ -130,7 +131,7 @@ def consistent_logvals(t, logw):
     return logw[t.iu] - logw[t.ju]
 
 
-def indices_for_masks(t, logvals, masks, alpha=0.5, beta=0.3):
+def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     """All fourteen index values for each mask row, in canonical name order.
 
     ``logvals`` is the (E,) log-entry vector of the underlying complete
@@ -212,8 +213,7 @@ def indices_for_masks(t, logvals, masks, alpha=0.5, beta=0.3):
     out[:, 0] = kt
     out[:, 1] = i1
     out[:, 2] = i2
-    out[:, 3] = alpha * kt + (1.0 - alpha) * i1
-    out[:, 4] = beta * kt + beta * i1 + (1.0 - 2.0 * beta) * i2
+    out[:, 3], out[:, 4] = blend(kt, i1, i2, alpha, beta)
     out[:, 5] = sh
     out[:, 6] = gci1
     out[:, 7] = gci2

@@ -5,8 +5,9 @@ matrix file (plus the classical reference suite when the matrix is
 complete), ``rank`` prints a priority vector, and ``experiment`` runs
 the Monte Carlo robustness study and writes its CSV tables.
 
-Exit codes: 0 ok, 2 parse/validation failure, 3 disconnected
-comparison graph, 4 method/input mismatch, 5 bad configuration.
+Exit codes: 0 ok, 2 parse/validation failure or a non-finite index
+value, 3 disconnected comparison graph, 4 method/input mismatch, 5 bad
+configuration.
 """
 
 import argparse

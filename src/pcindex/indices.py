@@ -13,7 +13,6 @@ eigenvalue index, the optimal-completion least-squares value, and a
 degree-scaled spectral-radius index).
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -35,12 +34,12 @@ __all__ = [
     "CLASSICAL_NAMES",
     "BadParams",
     "DegenerateDenominator",
-    "BlendParams",
+    "NonFiniteIndex",
     "CycleIndices",
-    "BlendValues",
+    "check_blend",
+    "blend",
     "classical_indices",
     "cycle_based_indices",
-    "blend_indices",
     "sh_index_inc",
     "gci_inc",
     "gw_inc",
@@ -83,28 +82,34 @@ class DegenerateDenominator(PCError):
     """A relative-error denominator vanished while the numerator did not."""
 
 
-@dataclass(frozen=True)
-class BlendParams:
-    """Literal parameters for the two blended cycle indices.
+class NonFiniteIndex(PCError):
+    """An index value came out as NaN or infinity."""
 
-    When passed explicitly, both formulas use these numbers as written:
-    alpha*max + (1-alpha)*mean and alpha*max + beta*mean + (1-alpha-beta)*rms.
-    When no BlendParams is given, each blend falls back to its own
-    default: alpha = 0.5 for the first, alpha = beta = 0.3 for the second.
+
+def check_blend(alpha, beta):
+    """Reject blend weights outside 0 <= alpha <= 1 and 0 <= beta <= 1/2, NaN included."""
+    if not 0.0 <= alpha <= 1.0:
+        raise BadParams("alpha must lie in [0, 1], got %r" % (alpha,))
+    if not 0.0 <= beta <= 0.5:
+        raise BadParams("beta must lie in [0, 1/2], got %r" % (beta,))
+
+
+def blend(kt, i1, i2, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
+    """(Ialpha, Ialphabeta) from the max, mean and scaled rms cycle inconsistency.
+
+    Ialpha = alpha*Ktilde + (1-alpha)*I1 and Ialphabeta = beta*Ktilde +
+    beta*I1 + (1-2*beta)*I2, so beta is the shared weight of Ktilde and
+    I1.  Works elementwise on arrays as well as on floats.
     """
+    return alpha * kt + (1.0 - alpha) * i1, beta * kt + beta * i1 + (1.0 - 2.0 * beta) * i2
 
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
 
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise BadParams("alpha must lie in [0, 1], got %r" % (self.alpha,))
-        if self.beta < 0.0:
-            raise BadParams("beta must be nonnegative, got %r" % (self.beta,))
-        if self.alpha + self.beta > 1.0:
-            raise BadParams(
-                "alpha + beta must not exceed 1, got %r + %r" % (self.alpha, self.beta)
-            )
+def _finite(vals):
+    """Return the name -> value map, or raise NonFiniteIndex naming every NaN or inf."""
+    bad = [k for k, v in vals.items() if not np.isfinite(v)]
+    if bad:
+        raise NonFiniteIndex("non-finite index value(s): %s" % ", ".join(bad))
+    return vals
 
 
 class CycleIndices(NamedTuple):
@@ -115,27 +120,23 @@ class CycleIndices(NamedTuple):
     i2: float
 
 
-class BlendValues(NamedTuple):
-    ialpha: float
-    ialphabeta: float
-
-
 def _triad_k(c_ik, c_kj, c_ij):
     r = c_ik * c_kj / c_ij
     return min(abs(1.0 - r), abs(1.0 - 1.0 / r))
 
 
-def classical_indices(m, p=None):
+def classical_indices(m):
     """The ten reference indices of a complete matrix, as a name -> value map.
 
     CI = (lambda_max - n)/(n - 1); GCI = 2/((n-1)(n-2)) * sum over i<j of
     ln^2(c_ij w_j / w_i) with geometric-mean weights; K is the largest
     triad inconsistency and I1/I2 its mean and scaled quadratic mean over
-    all C(n,3) triads; Ialpha and Ialphabeta blend them; GW scales every
-    column to sum 1 and averages the absolute deviation from the priority
-    vector; ISH ranges the one-intermediary products c_ik*c_kj over
-    k = 1..n; RE is the share of residual energy after fitting the log
-    matrix with row-mean differences.
+    all C(n,3) triads; Ialpha and Ialphabeta blend them with the default
+    weights of ``blend``; GW scales every column to sum 1 and averages
+    the absolute deviation from the priority vector; ISH ranges the
+    one-intermediary products c_ik*c_kj over k = 1..n; RE is the share
+    of residual energy after fitting the log matrix with row-mean
+    differences.
     """
     if not is_complete(m):
         raise NotComplete("classical indices need a complete matrix")
@@ -152,7 +153,7 @@ def classical_indices(m, p=None):
     kmax = float(ks.max())
     i1 = float(ks.mean())
     i2 = float(np.sqrt((ks**2).sum()) / ks.size)
-    ialpha, ialphabeta = _blend(kmax, i1, i2, p)
+    ialpha, ialphabeta = blend(kmax, i1, i2)
 
     e = v * w[None, :] / w[:, None]
     iu = np.triu_indices(n, 1)
@@ -173,7 +174,7 @@ def classical_indices(m, p=None):
     denom = float((chat**2).sum())
     re = float((resid**2).sum()) / denom if denom > 0 else 0.0
 
-    return {
+    return _finite({
         "CI": ci,
         "GCI": gci,
         "K": kmax,
@@ -184,17 +185,7 @@ def classical_indices(m, p=None):
         "GW": gw,
         "ISH": ish,
         "RE": re,
-    }
-
-
-def _blend(kmax, i1, i2, p):
-    if p is None:
-        ia = DEFAULT_ALPHA * kmax + (1.0 - DEFAULT_ALPHA) * i1
-        iab = DEFAULT_BETA * kmax + DEFAULT_BETA * i1 + (1.0 - 2.0 * DEFAULT_BETA) * i2
-    else:
-        ia = p.alpha * kmax + (1.0 - p.alpha) * i1
-        iab = p.alpha * kmax + p.beta * i1 + (1.0 - p.alpha - p.beta) * i2
-    return ia, iab
+    })
 
 
 def cycle_based_indices(m, max_cycles=None):
@@ -216,18 +207,6 @@ def cycle_based_indices(m, max_cycles=None):
         float(ks.mean()),
         float(np.sqrt((ks**2).sum()) / ks.size),
     )
-
-
-def blend_indices(c, p=None):
-    """Blend the three cycle statistics into the alpha and alpha-beta indices.
-
-    ``c`` is a CycleIndices (or any (max, mean, rms) triple).  With
-    ``p=None`` each blend uses its own default parameters (0.5, and
-    0.3/0.3); an explicit BlendParams is applied literally to both.
-    """
-    kmax, i1, i2 = c
-    ia, iab = _blend(kmax, i1, i2, p)
-    return BlendValues(ia, iab)
 
 
 def sh_index_inc(m):
@@ -387,32 +366,30 @@ def oliva_index(m):
     return max(0.0, rho - 1.0)
 
 
-def all_indices(m, alpha=0.5, beta=0.3, max_cycles=None):
+def all_indices(m, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     """All fourteen incomplete-capable indices as a name -> value map.
 
-    ``alpha`` parametrizes the alpha blend and ``beta`` is the shared
-    parameter of the alpha-beta blend (its two leading weights are both
-    beta).  The least-squares weights are computed once and shared by
-    the ranking-based indices; results are identical to calling the
-    individual functions.
+    ``alpha`` and ``beta`` are the blend weights of ``blend``.  The
+    least-squares weights are computed once and shared by the
+    ranking-based indices; results are identical to calling the
+    individual functions.  A NaN or infinite value raises
+    NonFiniteIndex.
     """
-    p_a = BlendParams(alpha, 0.0)
-    p_b = BlendParams(beta, beta)
+    check_blend(alpha, beta)
     if not is_irreducible(build_graph(m)):
         raise NotIrreducible("comparison graph is disconnected")
     n = m.n
-    cyc = cycle_based_indices(m, max_cycles=max_cycles)
-    blends_a = blend_indices(cyc, p_a)
-    blends_b = blend_indices(cyc, p_b)
+    cyc = cycle_based_indices(m)
+    ialpha, ialphabeta = blend(*cyc, alpha, beta)
     w = ills(m)
     r = _log_residuals(m, w)
     s = float((r**2).sum())
-    return {
+    return _finite({
         "Ktilde": cyc.ktilde,
         "I1": cyc.i1,
         "I2": cyc.i2,
-        "Ialpha": blends_a.ialpha,
-        "Ialphabeta": blends_b.ialphabeta,
+        "Ialpha": ialpha,
+        "Ialphabeta": ialphabeta,
         "SH": sh_index_inc(m),
         "GCI1": 2.0 * s / ((n - 1) * (n - 2)),
         "GCI2": s / max(r.size, 1),
@@ -422,4 +399,4 @@ def all_indices(m, alpha=0.5, beta=0.3, max_cycles=None):
         "CI": harker_ci(m),
         "LLS": 2.0 * s,
         "Oliva": oliva_index(m),
-    }
+    })

@@ -27,7 +27,7 @@ import numpy as np
 from . import _fast
 from .core import BadSize, NotComplete, NotIrreducible, PCError, PCMatrix, is_complete
 from .graph import FREE_ENUMERATION_LIMIT, build_graph, is_irreducible
-from .indices import INDEX_NAMES, BadParams, BlendParams, all_indices
+from .indices import INDEX_NAMES, BadParams, check_blend
 
 __all__ = [
     "BadK",
@@ -36,9 +36,7 @@ __all__ = [
     "gen_consistent",
     "disturb",
     "remove_comparisons",
-    "rescaled_distance",
     "run_experiment",
-    "total_distance",
     "distance_csv",
     "totals_csv",
     "ranking",
@@ -94,8 +92,7 @@ class ExperimentConfig:
                 "removals_max must lie in 0..%d for n=%d, got %r"
                 % (spare, self.n, self.removals_max)
             )
-        BlendParams(self.alpha, 0.0)
-        BlendParams(self.beta, self.beta)
+        check_blend(self.alpha, self.beta)
         if self.weight_range < 1.0:
             raise BadParams("weight_range must be >= 1, got %r" % (self.weight_range,))
         # the largest path product is weight_range**2 * d_max**(n-1), and SH
@@ -235,16 +232,6 @@ def remove_comparisons(m, k, rng):
     return PCMatrix(m.values.copy(), defined, scale_s=m.scale_s)
 
 
-def rescaled_distance(index, c, c_k, alpha=0.5, beta=0.3):
-    """(I(C) - I(C_k)) / max of the two, and 0 when both values are 0."""
-    if index not in INDEX_NAMES:
-        raise ValueError("unknown index %r" % (index,))
-    a = all_indices(c, alpha=alpha, beta=beta)[index]
-    b = all_indices(c_k, alpha=alpha, beta=beta)[index]
-    top = max(a, b)
-    return (a - b) / top if top > 0.0 else 0.0
-
-
 def _chain_masks(n, pairs, removals_max, rng, independent):
     """Mask rows for k = 0..removals_max removals (nested chain by default)."""
     ecount = len(pairs)
@@ -325,11 +312,6 @@ def run_experiment(cfg, threads=1):
     d.flags.writeable = False
     totals.flags.writeable = False
     return DistanceTable(tuple(INDEX_NAMES), cfg.removals_max, d, totals)
-
-
-def total_distance(table, index):
-    """Summed absolute distance curve of one index (smaller = more robust)."""
-    return table.total(index)
 
 
 def ranking(table):

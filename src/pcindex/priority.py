@@ -134,7 +134,7 @@ def harker_rank(m):
     return principal_eigen(harker_matrix(m))
 
 
-def ills(m, diagonal="degree"):
+def ills(m):
     """Incomplete logarithmic least-squares priorities.
 
     Minimizes sum over defined i != j of (ln c_ij - x_i + x_j)^2 in the
@@ -145,11 +145,6 @@ def ills(m, diagonal="degree"):
     exponentiated and normalized.  On a complete matrix this is exactly
     the geometric-mean vector; on a consistent matrix it reproduces
     every defined ratio.
-
-    ``diagonal="missing"`` swaps the Laplacian diagonal for the count of
-    missing entries per row.  That variant exists only so the two
-    readings can be compared side by side; it does not minimize the
-    criterion above and is not used anywhere else.
     """
     if not is_irreducible(build_graph(m)):
         raise NotIrreducible("comparison graph is disconnected")
@@ -160,13 +155,7 @@ def ills(m, diagonal="degree"):
     logs = np.zeros((n, n))
     logs[off] = np.log(m.values[off])
     g = logs.sum(axis=1)
-    adj = off.astype(float)
-    if diagonal == "degree":
-        lap = np.diag(deg.astype(float)) - adj
-    elif diagonal == "missing":
-        lap = np.diag((n - 1.0) - deg) - adj
-    else:
-        raise ValueError("diagonal must be 'degree' or 'missing', got %r" % (diagonal,))
+    lap = np.diag(deg.astype(float)) - off.astype(float)
     try:
         x_rest = np.linalg.solve(lap[1:, 1:], g[1:])
     except np.linalg.LinAlgError as exc:

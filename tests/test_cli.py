@@ -112,8 +112,38 @@ def test_analyze_unknown_index_name(tmp_path, capsys):
 
 def test_analyze_bad_alpha(tmp_path, capsys):
     path = _write(tmp_path, "tri3.txt", TRI3_TEXT)
-    assert main(["analyze", path, "--alpha", "1.5"]) == 5
-    assert capsys.readouterr().err.startswith("error:")
+    bad = (("--alpha", ("1.5", "nan", "inf")), ("--beta", ("nan", "inf", "1.0", "0.5000001")))
+    good = (("--alpha", ("-0.0", "0.5", "0.5000001", "1.0")), ("--beta", ("-0.0", "0.5")))
+    for flag, values in bad:
+        for value in values:
+            assert main(["analyze", path, flag, value]) == 5, (flag, value)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert captured.out == ""
+    for flag, values in good:
+        for value in values:
+            assert main(["analyze", path, flag, value]) == 0, (flag, value)
+
+
+# consistent, weights a^2, a, 1, 1/a with a = 1e150: the least-squares
+# residuals and the path products overflow floats
+HUGE4_TEXT = """
+4
+1 1e150 1e300 ?
+1e-150 1 1e150 1e300
+1e-300 1e-150 1 1e150
+? 1e-300 1e-150 1
+"""
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_analyze_non_finite_index_fails(tmp_path, capsys, extra):
+    path = _write(tmp_path, "huge4.txt", HUGE4_TEXT)
+    with np.errstate(all="ignore"):
+        assert main(["analyze", path] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite index value(s): SH, GCI1")
 
 
 def test_analyze_disconnected(tmp_path, capsys):

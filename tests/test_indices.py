@@ -16,14 +16,14 @@ from pcindex import (
     CLASSICAL_NAMES,
     INDEX_NAMES,
     BadParams,
-    BlendParams,
     CycleCapExceeded,
     NotComplete,
     NotIrreducible,
     PCMatrix,
     all_indices,
-    blend_indices,
+    blend,
     build_graph,
+    check_blend,
     classical_indices,
     cycle_based_indices,
     disturb,
@@ -137,36 +137,9 @@ def test_classical_matches_longhand_reference():
             assert got[name] == pytest.approx(want[name], rel=1e-9, abs=1e-12), name
 
 
-def test_classical_blend_params():
-    rng = np.random.default_rng(5)
-    m = random_complete(rng, 5)
-    p = BlendParams(alpha=0.25, beta=0.5)
-    got = classical_indices(m, p)
-    base = classical_indices(m)
-    assert got["Ialpha"] == pytest.approx(
-        0.25 * base["K"] + 0.75 * base["I1"], rel=1e-12
-    )
-    assert got["Ialphabeta"] == pytest.approx(
-        0.25 * base["K"] + 0.5 * base["I1"] + 0.25 * base["I2"], rel=1e-12
-    )
-
-
 def test_classical_needs_complete(inc4):
     with pytest.raises(NotComplete):
         classical_indices(inc4)
-
-
-def test_blend_params_validation():
-    BlendParams(0.0, 1.0)
-    BlendParams(1.0, 0.0)
-    with pytest.raises(BadParams):
-        BlendParams(-0.1, 0.0)
-    with pytest.raises(BadParams):
-        BlendParams(1.1, 0.0)
-    with pytest.raises(BadParams):
-        BlendParams(0.5, -0.2)
-    with pytest.raises(BadParams):
-        BlendParams(0.7, 0.4)
 
 
 def test_cycle_based_tri3(tri3):
@@ -215,14 +188,25 @@ def test_cycle_based_respects_cap():
     assert c == (0.0, 0.0, 0.0)
 
 
-def test_blend_indices_defaults_and_literal():
+def test_blend_weights_and_bounds():
     vals = (0.9, 0.5, 0.3)
-    d = blend_indices(vals)
-    assert d.ialpha == pytest.approx(0.5 * 0.9 + 0.5 * 0.5, rel=1e-15)
-    assert d.ialphabeta == pytest.approx(0.3 * 0.9 + 0.3 * 0.5 + 0.4 * 0.3, rel=1e-15)
-    e = blend_indices(vals, BlendParams(0.2, 0.7))
-    assert e.ialpha == pytest.approx(0.2 * 0.9 + 0.8 * 0.5, rel=1e-15)
-    assert e.ialphabeta == pytest.approx(0.2 * 0.9 + 0.7 * 0.5 + 0.1 * 0.3, rel=1e-15)
+    ia, iab = blend(*vals)
+    assert ia == pytest.approx(0.5 * 0.9 + 0.5 * 0.5, rel=1e-15)
+    assert iab == pytest.approx(0.3 * 0.9 + 0.3 * 0.5 + 0.4 * 0.3, rel=1e-15)
+    ia, iab = blend(*vals, 0.2, 0.1)
+    assert ia == pytest.approx(0.2 * 0.9 + 0.8 * 0.5, rel=1e-15)
+    assert iab == pytest.approx(0.1 * 0.9 + 0.1 * 0.5 + 0.8 * 0.3, rel=1e-15)
+    ia, iab = blend(*vals, 1.0, 0.5)  # beta = 1/2 leaves I2 out
+    assert (ia, iab) == (0.9, 0.5 * 0.9 + 0.5 * 0.5)
+    arrays = blend(np.array([0.9, 0.4]), np.array([0.5, 0.2]), np.array([0.3, 0.1]))
+    assert arrays[0].tolist() == [blend(0.9, 0.5, 0.3)[0], blend(0.4, 0.2, 0.1)[0]]
+    assert arrays[1].tolist() == [blend(0.9, 0.5, 0.3)[1], blend(0.4, 0.2, 0.1)[1]]
+    check_blend(0.0, 0.0)
+    check_blend(1.0, 0.5)
+    nan = float("nan")
+    for alpha, beta in ((-0.1, 0.3), (1.1, 0.3), (0.5, -0.2), (0.5, 0.6), (nan, 0.3), (0.5, nan)):
+        with pytest.raises(BadParams):
+            check_blend(alpha, beta)
 
 
 def test_sh_inc_tri3_equals_classical(tri3):
@@ -364,9 +348,7 @@ def test_all_indices_matches_individual(tri3, inc4, sparse7):
         assert vals["Ktilde"] == cyc.ktilde
         assert vals["I1"] == cyc.i1
         assert vals["I2"] == cyc.i2
-        bl = blend_indices(cyc)
-        assert vals["Ialpha"] == pytest.approx(bl.ialpha, rel=1e-15)
-        assert vals["Ialphabeta"] == pytest.approx(bl.ialphabeta, rel=1e-15)
+        assert (vals["Ialpha"], vals["Ialphabeta"]) == blend(*cyc)
         assert vals["SH"] == sh_index_inc(m)
         assert vals["GCI1"] == pytest.approx(gci_inc(m, "v1"), rel=1e-12, abs=1e-15)
         assert vals["GCI2"] == pytest.approx(gci_inc(m, "v2"), rel=1e-12, abs=1e-15)
@@ -385,10 +367,17 @@ def test_all_indices_blend_knobs(sparse7):
     assert vals["Ialphabeta"] == pytest.approx(
         0.1 * c.ktilde + 0.1 * c.i1 + 0.8 * c.i2, rel=1e-12
     )
-    with pytest.raises(BadParams):
-        all_indices(sparse7, alpha=1.3)
-    with pytest.raises(BadParams):
-        all_indices(sparse7, beta=0.6)  # the two leading weights sum past 1
+    for alpha in (-0.0, 0.5, 0.5000001, 1.0):
+        assert all_indices(sparse7, alpha=alpha)["Ialpha"] == blend(*c, alpha)[0]
+    for beta in (-0.0, 0.5):
+        assert all_indices(sparse7, beta=beta)["Ialphabeta"] == blend(*c, 0.5, beta)[1]
+    for alpha in (1.3, -0.1, float("nan"), float("inf")):
+        with pytest.raises(BadParams):
+            all_indices(sparse7, alpha=alpha)
+    # beta above 1/2 would give I2 the negative weight 1 - 2*beta
+    for beta in (0.6, 1.0, 0.5000001, -0.1, float("nan"), float("inf")):
+        with pytest.raises(BadParams):
+            all_indices(sparse7, beta=beta)
 
 
 def test_lls_equals_scaled_gci1():

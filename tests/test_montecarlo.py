@@ -26,12 +26,17 @@ from pcindex import (
     is_irreducible,
     list_triads,
     remove_comparisons,
-    rescaled_distance,
     run_experiment,
-    total_distance,
 )
 from pcindex import _fast
-from pcindex.montecarlo import _chain_masks, _stream_values, distance_csv, ranking, totals_csv
+from pcindex.montecarlo import (
+    _chain_masks,
+    _delta_rows,
+    _stream_values,
+    distance_csv,
+    ranking,
+    totals_csv,
+)
 
 
 def test_gen_consistent_properties():
@@ -125,25 +130,24 @@ def test_remove_comparisons_bad_k():
     assert remove_comparisons(tree, 0, rng) == tree
 
 
-def test_rescaled_distance_conventions(tri3, inc4):
-    assert rescaled_distance("Ktilde", tri3, tri3) == 0.0
-    assert rescaled_distance("GCI1", inc4, inc4) == 0.0  # both sides ~0 -> 0
+def test_delta_rows_conventions():
+    # columns are indices, rows are chain rows scored against row 0
+    vals = np.array([[0.5, 0.2, 0.0, 0.25], [0.0, 0.4, 0.0, 0.25], [0.25, 0.2, 0.0, 1.0]])
+    d = _delta_rows(vals)
+    assert (d[0] == 0.0).all()
+    assert d[1].tolist() == [1.0, -0.5, 0.0, 0.0]  # (0.5, 0) -> 1, (0.2, 0.4) -> -0.5, (0, 0) -> 0
+    assert d[2].tolist() == [0.5, 0.0, 0.0, -0.75]
+
+
+def test_delta_rows_row_zero_is_zero():
     rng = np.random.default_rng(8)
-    m = disturb(gen_consistent(5, rng), 6, rng)
-    tree = remove_comparisons(m, 6, rng)
-    assert rescaled_distance("Ktilde", m, tree) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        rescaled_distance("NotAnIndex", m, tree)
-
-
-def test_rescaled_distance_hand_values(monkeypatch):
-    # (0.5, 0) -> 1 and (0.2, 0.4) -> -0.5, forced through stub index values
-    import pcindex.montecarlo as mc
-
-    vals = iter([{"Ktilde": 0.5}, {"Ktilde": 0.0}, {"Ktilde": 0.2}, {"Ktilde": 0.4}])
-    monkeypatch.setattr(mc, "all_indices", lambda m, alpha, beta: next(vals))
-    assert mc.rescaled_distance("Ktilde", None, None) == 1.0
-    assert mc.rescaled_distance("Ktilde", None, None) == -0.5
+    vals = rng.uniform(0.0, 1.0, (5, 14))
+    vals[:, 3] = 0.0
+    vals[0, 5] = 0.0
+    d = _delta_rows(vals)
+    assert (d[0] == 0.0).all()
+    assert (d[:, 3] == 0.0).all()
+    assert (np.abs(d) <= 1.0).all()
 
 
 def test_config_validation():
@@ -156,10 +160,16 @@ def test_config_validation():
         ExperimentConfig(d_max=0)
     with pytest.raises(BadParams):
         ExperimentConfig(base_matrices=0)
-    with pytest.raises(BadParams):
-        ExperimentConfig(alpha=1.5)
-    with pytest.raises(BadParams):
-        ExperimentConfig(beta=0.7)
+    for x in (-0.0, 0.5, 0.5000001, 1.0):
+        ExperimentConfig(alpha=x)
+    for x in (-0.0, 0.5):
+        ExperimentConfig(beta=x)
+    for x in (1.5, -0.1, float("nan"), float("inf")):
+        with pytest.raises(BadParams):
+            ExperimentConfig(alpha=x)
+    for x in (0.7, 1.0, 0.5000001, -0.1, float("nan"), float("inf")):
+        with pytest.raises(BadParams):
+            ExperimentConfig(beta=x)
     with pytest.raises(BadParams):
         ExperimentConfig(weight_range=0.5)
     with pytest.raises(BadParams):
@@ -275,7 +285,6 @@ def test_run_experiment_small_invariants():
     assert (tab.d[:, 0] == 0.0).all()
     assert (np.abs(tab.d) <= 1.0 + 1e-12).all()
     assert tab.totals == pytest.approx(np.abs(tab.d).sum(axis=1), rel=1e-15)
-    assert total_distance(tab, "Ktilde") == tab.total("Ktilde")
     assert tab.value("Ktilde", 0) == 0.0
     rk = ranking(tab)
     assert sorted(t for _, t in rk) == [t for _, t in rk]

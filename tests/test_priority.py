@@ -170,14 +170,6 @@ def test_ills_tree_reproduces_edges():
                 assert w[i] / w[j] == pytest.approx(v[i, j], rel=1e-9)
 
 
-def test_ills_diagonal_variants(inc4, tri3):
-    # the "missing"-diagonal variant is an audit knob; it solves a different
-    # system and generally disagrees with the least-squares solution
-    assert ills(inc4, diagonal="missing") != pytest.approx(ills(inc4), rel=1e-6)
-    with pytest.raises(ValueError):
-        ills(tri3, diagonal="bogus")
-
-
 def test_ills_singular_system_translation(monkeypatch, inc4):
     def boom(*a, **k):
         raise np.linalg.LinAlgError("synthetic")
