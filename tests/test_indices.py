@@ -188,7 +188,7 @@ def test_cycle_based_respects_cap():
     assert c == (0.0, 0.0, 0.0)
 
 
-def test_blend_weights_and_bounds():
+def test_blend_indices_defaults_and_literal():
     vals = (0.9, 0.5, 0.3)
     ia, iab = blend(*vals)
     assert ia == pytest.approx(0.5 * 0.9 + 0.5 * 0.5, rel=1e-15)
@@ -201,6 +201,9 @@ def test_blend_weights_and_bounds():
     arrays = blend(np.array([0.9, 0.4]), np.array([0.5, 0.2]), np.array([0.3, 0.1]))
     assert arrays[0].tolist() == [blend(0.9, 0.5, 0.3)[0], blend(0.4, 0.2, 0.1)[0]]
     assert arrays[1].tolist() == [blend(0.9, 0.5, 0.3)[1], blend(0.4, 0.2, 0.1)[1]]
+
+
+def test_blend_params_validation():
     check_blend(0.0, 0.0)
     check_blend(1.0, 0.5)
     nan = float("nan")
