@@ -98,7 +98,7 @@ def get_tables(n):
         bits = np.where(used, np.uint64(1) << ids.astype(np.uint64), np.uint64(0))
         return ids, rows, np.bitwise_or.reduce(bits, axis=0)
 
-    cycles = [c.vertices + c.vertices[:1] for c in enumerate_cycles(g, 3)]
+    cycles = [c.vertices + c.vertices[:1] for c in enumerate_cycles(g)]
     cyc_slots, cyc_rows, cyc_need = hop_table(cycles, n)
 
     paths = []

@@ -14,9 +14,11 @@ import argparse
 import json
 import sys
 
-from .core import NotComplete, NotIrreducible, PCError, is_complete, parse_matrix
+from .core import SCALE_S, NotComplete, NotIrreducible, PCError, is_complete, parse_matrix
 from .indices import (
     CLASSICAL_NAMES,
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
     INDEX_NAMES,
     BadParams,
     all_indices,
@@ -76,7 +78,7 @@ def cmd_analyze(args):
 
     print("matrix: n=%d, %s" % (m.n, "complete" if complete else "incomplete"))
     if m.exceeds_scale:
-        print("note: some entries exceed the 1/%g..%g scale" % (m.scale_s, m.scale_s))
+        print("note: some entries exceed the 1/%g..%g scale" % (SCALE_S, SCALE_S))
     for k in names:
         print("%-12s %s" % (k, _fmt(vals[k])))
     if classical is not None:
@@ -111,11 +113,8 @@ def cmd_experiment(args):
         beta=args.beta,
         seed=args.seed,
         weight_range=args.weight_range,
-        gamma_dist=args.gamma_dist,
         independent_removals=args.independent_removals,
     )
-    if args.threads < 1:
-        raise BadParams("--threads must be positive, got %r" % (args.threads,))
     table = run_experiment(cfg, threads=args.threads)
     dist_path = args.out + "_distance.csv"
     tot_path = args.out + "_totals.csv"
@@ -138,8 +137,8 @@ def _parser():
     pa = sub.add_parser("analyze", help="inconsistency indices of a matrix file")
     pa.add_argument("file")
     pa.add_argument("--indices", help="comma-separated subset of: %s" % ",".join(INDEX_NAMES))
-    pa.add_argument("--alpha", type=float, default=0.5)
-    pa.add_argument("--beta", type=float, default=0.3)
+    pa.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    pa.add_argument("--beta", type=float, default=DEFAULT_BETA)
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 
@@ -149,16 +148,15 @@ def _parser():
     pr.set_defaults(func=cmd_rank)
 
     pe = sub.add_parser("experiment", help="Monte Carlo robustness experiment")
-    pe.add_argument("--n", type=int, default=7)
-    pe.add_argument("--matrices", type=int, default=1000)
-    pe.add_argument("--dmax", type=int, default=30)
-    pe.add_argument("--removals", type=int, default=15)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--alpha", type=float, default=0.5)
-    pe.add_argument("--beta", type=float, default=0.3)
-    pe.add_argument("--weight-range", type=float, default=3.0)
+    pe.add_argument("--n", type=int, default=ExperimentConfig.n)
+    pe.add_argument("--matrices", type=int, default=ExperimentConfig.base_matrices)
+    pe.add_argument("--dmax", type=int, default=ExperimentConfig.d_max)
+    pe.add_argument("--removals", type=int, default=ExperimentConfig.removals_max)
+    pe.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    pe.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    pe.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    pe.add_argument("--weight-range", type=float, default=ExperimentConfig.weight_range)
     pe.add_argument("--threads", type=int, default=1)
-    pe.add_argument("--gamma-dist", choices=("uniform", "loguniform"), default="uniform")
     pe.add_argument("--independent-removals", action="store_true")
     pe.add_argument("--out", required=True, help="output path prefix for the CSV files")
     pe.set_defaults(func=cmd_experiment)

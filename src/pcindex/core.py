@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 RECIPROCITY_RTOL = 1e-12
+SCALE_S = 9.0  # customary judgment scale 1/9..9; exceeding it is flagged, never clipped
 
 __all__ = [
     "MISSING",
@@ -130,12 +131,14 @@ class PCMatrix:
     cannot pass silently - always consult ``defined``) and ``defined``
     (boolean mask, the authoritative record of which cells exist).
 
+    ``exceeds_scale`` flags a defined entry outside 1/SCALE_S..SCALE_S.
+
     Use :func:`validate` or :func:`parse_matrix` to build one from
     untrusted data; the constructor itself does not check reciprocity
     since it enforces it structurally.
     """
 
-    def __init__(self, values, defined=None, scale_s=9.0):
+    def __init__(self, values, defined=None):
         v = np.array(values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise NonSquare("expected a square matrix, got shape %s" % (v.shape,))
@@ -159,12 +162,11 @@ class PCMatrix:
         d.flags.writeable = False
         self._values = v
         self._defined = d
-        self.scale_s = float(scale_s)
         off = d.copy()
         np.fill_diagonal(off, False)
         dv = v[off]
         self.exceeds_scale = bool(
-            dv.size and ((dv > self.scale_s).any() or (dv < 1.0 / self.scale_s).any())
+            dv.size and ((dv > SCALE_S).any() or (dv < 1.0 / SCALE_S).any())
         )
 
     @property
@@ -181,9 +183,6 @@ class PCMatrix:
         """Read-only boolean mask of defined cells (diagonal always True)."""
         return self._defined
 
-    def is_defined(self, i, j):
-        return bool(self._defined[i, j])
-
     def entry(self, i, j):
         """Return c_ij as a float, or MISSING."""
         if self._defined[i, j]:
@@ -199,13 +198,12 @@ class PCMatrix:
             return NotImplemented
         return (
             self.n == other.n
-            and self.scale_s == other.scale_s
             and np.array_equal(self._defined, other._defined)
             and np.array_equal(self._values, other._values, equal_nan=True)
         )
 
     def __hash__(self):
-        return hash((self.n, self.scale_s, self._values.tobytes(), self._defined.tobytes()))
+        return hash((self.n, self._values.tobytes(), self._defined.tobytes()))
 
     def __repr__(self):
         total = self.n * (self.n - 1) // 2
@@ -227,7 +225,7 @@ class Triad(NamedTuple):
     c_ij: float
 
 
-def validate(grid, scale_s=9.0):
+def validate(grid):
     """Check a candidate grid and return a PCMatrix.
 
     ``grid`` is any square sequence of rows whose cells are numbers,
@@ -282,7 +280,7 @@ def validate(grid, scale_s=9.0):
                     abs(vals[j, i]), abs(expected)
                 ):
                     raise ReciprocityViolation(i, j)
-    return PCMatrix(vals, mask, scale_s=scale_s)
+    return PCMatrix(vals, mask)
 
 
 def is_complete(m):
@@ -332,7 +330,7 @@ def _parse_token(tok):
         raise ValueError("bad token %r" % tok) from None
 
 
-def parse_matrix(text, scale_s=9.0):
+def parse_matrix(text):
     """Parse the plain-text matrix format.
 
     Lines starting with '#' (after optional whitespace) and blank lines
@@ -377,7 +375,7 @@ def parse_matrix(text, scale_s=9.0):
             except ValueError as exc:
                 raise MatrixSyntaxError(no, str(exc)) from None
         grid.append(row)
-    return validate(grid, scale_s=scale_s)
+    return validate(grid)
 
 
 def _format_value(x):

@@ -1,4 +1,4 @@
-"""Graph view of a PC matrix: connectivity, simple cycles, simple paths, degrees.
+"""Graph view of a PC matrix: connectivity, simple cycles, simple paths.
 
 Every defined comparison {i, j} is one undirected edge carrying the two
 labels c_ij and c_ji = 1/c_ij.  A ranking is derivable exactly when this
@@ -8,8 +8,6 @@ cycle equals 1 iff the judgments along it are mutually consistent.
 """
 
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import PCError
 
@@ -26,7 +24,6 @@ __all__ = [
     "cycle_ratio",
     "cycle_inconsistency",
     "path_product",
-    "degree_matrix",
 ]
 
 # Beyond this size the number of simple cycles explodes; an explicit
@@ -77,14 +74,8 @@ class ComparisonGraph:
         self.edges = tuple(edges)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
 
-    def has_edge(self, i, j):
-        return i != j and bool(self._defined[i, j])
-
     def neighbors(self, i):
         return self._adj[i]
-
-    def degree(self, i):
-        return len(self._adj[i])
 
     def label(self, i, j):
         """The ratio c_ij for a defined ordered pair; KeyError otherwise."""
@@ -123,8 +114,8 @@ def is_irreducible(g):
     return count == n
 
 
-def enumerate_cycles(g, min_len=3, max_cycles=None):
-    """All simple cycles of length >= min_len, canonical, in lexicographic order.
+def enumerate_cycles(g, max_cycles=None):
+    """All simple cycles (3 or more vertices), canonical, in lexicographic order.
 
     Each direction-equivalence class is returned once (a cycle and its
     reversal describe the same judgment loop; their ratios are mutual
@@ -136,8 +127,6 @@ def enumerate_cycles(g, min_len=3, max_cycles=None):
     refused above (pass an explicit cap to override); when a cap is
     given, exceeding it raises CycleCapExceeded.
     """
-    if min_len < 3:
-        raise ValueError("min_len must be at least 3, got %r" % (min_len,))
     if max_cycles is None and g.n > FREE_ENUMERATION_LIMIT:
         raise CycleCapExceeded(
             "refusing unbounded cycle enumeration for n=%d > %d; pass max_cycles"
@@ -150,7 +139,8 @@ def enumerate_cycles(g, min_len=3, max_cycles=None):
 
     def extend(v, start):
         for u in adj[v]:
-            if u == start and len(path) >= min_len and path[1] < path[-1]:
+            # a walk back over the first edge fails path[1] < path[-1]
+            if u == start and path[1] < path[-1]:
                 out.append(Cycle(tuple(path)))
                 if max_cycles is not None and len(out) > max_cycles:
                     raise CycleCapExceeded(
@@ -232,11 +222,3 @@ def path_product(g, p):
     for a, b in zip(v, v[1:]):
         r *= g.label(a, b)
     return r
-
-
-def degree_matrix(g):
-    """Diagonal integer matrix of vertex degrees (defined comparisons per row)."""
-    d = np.zeros((g.n, g.n), dtype=int)
-    for i in range(g.n):
-        d[i, i] = g.degree(i)
-    return d

@@ -13,12 +13,11 @@ eigenvalue index, the optimal-completion least-squares value, and a
 degree-scaled spectral-radius index).
 """
 
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import NotComplete, NotIrreducible, PCError, defined_pairs, is_complete
+from .core import NotComplete, NotIrreducible, PCError, is_complete, list_triads
 from .graph import (
     build_graph,
     cycle_inconsistency,
@@ -33,7 +32,6 @@ __all__ = [
     "INDEX_NAMES",
     "CLASSICAL_NAMES",
     "BadParams",
-    "DegenerateDenominator",
     "NonFiniteIndex",
     "CycleIndices",
     "check_blend",
@@ -76,10 +74,6 @@ DEFAULT_BETA = 0.3  # shared weight of max and mean terms in the alpha-beta blen
 
 class BadParams(PCError):
     """Blend parameters outside their valid range."""
-
-
-class DegenerateDenominator(PCError):
-    """A relative-error denominator vanished while the numerator did not."""
 
 
 class NonFiniteIndex(PCError):
@@ -147,9 +141,7 @@ def classical_indices(m):
     lam = principal_eigen(v).value
     ci = max(0.0, (lam - n) / (n - 1))
 
-    ks = np.array(
-        [_triad_k(v[i, k], v[k, j], v[i, j]) for i, k, j in combinations(range(n), 3)]
-    )
+    ks = np.array([_triad_k(t.c_ik, t.c_kj, t.c_ij) for t in list_triads(m)])
     kmax = float(ks.max())
     i1 = float(ks.mean())
     i2 = float(np.sqrt((ks**2).sum()) / ks.size)
@@ -198,7 +190,7 @@ def cycle_based_indices(m, max_cycles=None):
     g = build_graph(m)
     if not is_irreducible(g):
         raise NotIrreducible("comparison graph is disconnected")
-    cycles = enumerate_cycles(g, 3, max_cycles=max_cycles)
+    cycles = enumerate_cycles(g, max_cycles=max_cycles)
     if not cycles:
         return CycleIndices(0.0, 0.0, 0.0)
     ks = np.array([cycle_inconsistency(g, s) for s in cycles])
@@ -231,14 +223,44 @@ def sh_index_inc(m):
     return 2.0 / (n * (n - 1)) * total
 
 
-def _log_residuals(m, w):
-    """ln(c_ij w_j / w_i) over defined upper-triangle pairs, as an array."""
+def _least_squares(m, w):
+    """GCI1, GCI2, GW, RE1, RE2 and LLS from the least-squares weights w.
+
+    One residual pass over the upper triangle: r_ij = ln c_ij - (x_i - x_j)
+    with x = ln w on the defined pairs, and the fitted log-ratio x_i - x_j
+    alone on the missing ones.  A zero RE denominator means every
+    defined entry is 1, so the residuals are 0 too and the value is 0.
+    """
+    n = m.n
+    iu = np.triu_indices(n, 1)
+    d = m.defined[iu]
     x = np.log(w)
-    out = []
-    v = m.values
-    for i, j in defined_pairs(m):
-        out.append(np.log(v[i, j]) - (x[i] - x[j]))
-    return np.array(out)
+    fit = x[iu[0]] - x[iu[1]]
+    logs = np.log(m.values[iu][d])
+    s = float(((logs - fit[d]) ** 2).sum())
+    energy = float((logs**2).sum())
+    gap = float((fit[~d] ** 2).sum())
+
+    full = m.defined
+    v = np.where(full, m.values, 0.0)
+    omega = np.where(full, w[:, None], 0.0)
+    cstar = v / v.sum(axis=0)[None, :]
+    ostar = omega / omega.sum(axis=0)[None, :]
+
+    return {
+        "GCI1": 2.0 * s / ((n - 1) * (n - 2)),
+        "GCI2": s / logs.size,
+        "GW": float(np.abs(np.where(full, cstar - ostar, 0.0)).sum()) / n,
+        "RE1": s / (energy + gap) if energy + gap > 0.0 else 0.0,
+        "RE2": s / energy if energy > 0.0 else 0.0,
+        "LLS": 2.0 * s,
+    }
+
+
+def _variant(name, variant):
+    if variant not in ("v1", "v2"):
+        raise ValueError("variant must be 'v1' or 'v2', got %r" % (variant,))
+    return name + variant[1]
 
 
 def gci_inc(m, variant="v1"):
@@ -249,18 +271,8 @@ def gci_inc(m, variant="v1"):
     They coincide on complete matrices only up to the constant ratio of
     those denominators.
     """
-    if variant not in ("v1", "v2"):
-        raise ValueError("variant must be 'v1' or 'v2', got %r" % (variant,))
-    g = build_graph(m)
-    if not is_irreducible(g):
-        raise NotIrreducible("comparison graph is disconnected")
-    w = ills(m)
-    r = _log_residuals(m, w)
-    s = float((r**2).sum())
-    n = m.n
-    if variant == "v1":
-        return 2.0 * s / ((n - 1) * (n - 2))
-    return s / r.size
+    key = _variant("GCI", variant)
+    return _least_squares(m, ills(m))[key]
 
 
 def gw_inc(m):
@@ -271,19 +283,7 @@ def gw_inc(m):
     included, and the mean absolute difference is taken.  Equals the
     classical column-scaling distance on complete input.
     """
-    if not is_irreducible(build_graph(m)):
-        raise NotIrreducible("comparison graph is disconnected")
-    return _gw_value(m, ills(m))
-
-
-def _gw_value(m, w):
-    n = m.n
-    d = m.defined
-    v = np.where(d, m.values, 0.0)
-    omega = np.where(d, np.broadcast_to(w[:, None], (n, n)), 0.0)
-    cstar = v / v.sum(axis=0)[None, :]
-    ostar = omega / omega.sum(axis=0)[None, :]
-    return float(np.abs(np.where(d, cstar - ostar, 0.0)).sum()) / n
+    return _least_squares(m, ills(m))["GW"]
 
 
 def re_inc(m, variant="v1"):
@@ -295,32 +295,8 @@ def re_inc(m, variant="v1"):
     defined-cell log energy alone.  Both equal the classical
     relative-error index on complete input.
     """
-    if variant not in ("v1", "v2"):
-        raise ValueError("variant must be 'v1' or 'v2', got %r" % (variant,))
-    if not is_irreducible(build_graph(m)):
-        raise NotIrreducible("comparison graph is disconnected")
-    return _re_value(m, ills(m), variant)
-
-
-def _re_value(m, w, variant):
-    n = m.n
-    x = np.log(w)
-    v = m.values
-    num = 0.0
-    den = 0.0
-    for i, j in defined_pairs(m):
-        num += (np.log(v[i, j]) - (x[i] - x[j])) ** 2
-        den += np.log(v[i, j]) ** 2
-    if variant == "v1":
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not m.defined[i, j]:
-                    den += (x[i] - x[j]) ** 2
-    if den <= 0.0:
-        if num == 0.0:
-            return 0.0
-        raise DegenerateDenominator("zero denominator with nonzero residual energy")
-    return float(num / den)
+    key = _variant("RE", variant)
+    return _least_squares(m, ills(m))[key]
 
 
 def harker_ci(m):
@@ -341,11 +317,7 @@ def lls_index(m):
     contribute nothing; the value is the summed squared log-residuals
     over all defined ordered pairs (twice the upper-triangle sum).
     """
-    if not is_irreducible(build_graph(m)):
-        raise NotIrreducible("comparison graph is disconnected")
-    w = ills(m)
-    r = _log_residuals(m, w)
-    return 2.0 * float((r**2).sum())
+    return _least_squares(m, ills(m))["LLS"]
 
 
 def oliva_index(m):
@@ -378,25 +350,17 @@ def all_indices(m, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     check_blend(alpha, beta)
     if not is_irreducible(build_graph(m)):
         raise NotIrreducible("comparison graph is disconnected")
-    n = m.n
     cyc = cycle_based_indices(m)
     ialpha, ialphabeta = blend(*cyc, alpha, beta)
-    w = ills(m)
-    r = _log_residuals(m, w)
-    s = float((r**2).sum())
-    return _finite({
+    vals = _least_squares(m, ills(m))
+    vals.update({
         "Ktilde": cyc.ktilde,
         "I1": cyc.i1,
         "I2": cyc.i2,
         "Ialpha": ialpha,
         "Ialphabeta": ialphabeta,
         "SH": sh_index_inc(m),
-        "GCI1": 2.0 * s / ((n - 1) * (n - 2)),
-        "GCI2": s / max(r.size, 1),
-        "GW": _gw_value(m, w),
-        "RE1": _re_value(m, w, "v1"),
-        "RE2": _re_value(m, w, "v2"),
         "CI": harker_ci(m),
-        "LLS": 2.0 * s,
         "Oliva": oliva_index(m),
     })
+    return _finite({k: vals[k] for k in INDEX_NAMES})

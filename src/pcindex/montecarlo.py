@@ -27,7 +27,7 @@ import numpy as np
 from . import _fast
 from .core import BadSize, NotComplete, NotIrreducible, PCError, PCMatrix, is_complete
 from .graph import FREE_ENUMERATION_LIMIT, build_graph, is_irreducible
-from .indices import INDEX_NAMES, BadParams, check_blend
+from .indices import DEFAULT_ALPHA, DEFAULT_BETA, INDEX_NAMES, BadParams, check_blend
 
 __all__ = [
     "BadK",
@@ -57,8 +57,8 @@ class ExperimentConfig:
     alpha parametrizes the max/mean blend; beta is the shared leading
     weight of the max/mean/rms blend.  weight_range bounds the hidden
     weights (log-uniform on [1/weight_range, weight_range]), so
-    consistent entries stay within weight_range**2.  gamma_dist picks
-    how the disturbance coefficient is drawn on [1/d, d]; with
+    consistent entries stay within weight_range**2.  The disturbance
+    coefficient is drawn uniformly from [1/d, d]; with
     independent_removals each k gets a fresh removal set instead of the
     default nested chain.  n stops at the largest size with cycle and
     path tables, and weight_range**4 * d_max**(2*(n-1)) must be a finite
@@ -69,11 +69,10 @@ class ExperimentConfig:
     base_matrices: int = 1000
     d_max: int = 30
     removals_max: int = 15
-    alpha: float = 0.5
-    beta: float = 0.3
+    alpha: float = DEFAULT_ALPHA
+    beta: float = DEFAULT_BETA
     seed: int = 0
     weight_range: float = 3.0
-    gamma_dist: str = "uniform"
     independent_removals: bool = False
 
     def __post_init__(self):
@@ -104,8 +103,6 @@ class ExperimentConfig:
                 "weight_range**4 * d_max**(2*(n-1)) below %.3g"
                 % (self.weight_range, self.d_max, self.n, sys.float_info.max)
             )
-        if self.gamma_dist not in ("uniform", "loguniform"):
-            raise BadParams("gamma_dist must be 'uniform' or 'loguniform', got %r" % (self.gamma_dist,))
         if not isinstance(self.seed, int):
             raise BadParams("seed must be an integer, got %r" % (self.seed,))
 
@@ -135,8 +132,8 @@ def gen_consistent(n, rng, weight_range=3.0):
     return PCMatrix(u[:, None] / u[None, :])
 
 
-def disturb(m, d, rng, dist="uniform"):
-    """Multiply each upper-triangle entry by its own gamma drawn from [1/d, d].
+def disturb(m, d, rng):
+    """Multiply each upper-triangle entry by its own gamma, uniform on [1/d, d].
 
     d = 1 leaves the matrix unchanged (gamma is identically 1, and the
     draws still consume the same amount of randomness, so streams stay
@@ -147,15 +144,10 @@ def disturb(m, d, rng, dist="uniform"):
     if d < 1:
         raise BadParams("disturbance level must be >= 1, got %r" % (d,))
     iu = np.triu_indices(m.n, 1)
-    if dist == "uniform":
-        gamma = rng.uniform(1.0 / d, float(d), iu[0].size)
-    elif dist == "loguniform":
-        gamma = np.exp(rng.uniform(-math.log(d), math.log(d), iu[0].size))
-    else:
-        raise BadParams("dist must be 'uniform' or 'loguniform', got %r" % (dist,))
+    gamma = rng.uniform(1.0 / d, float(d), iu[0].size)
     v = m.values.copy()
     v[iu] *= gamma
-    return PCMatrix(v, scale_s=m.scale_s)
+    return PCMatrix(v)
 
 
 def _bridges(n, adj):
@@ -229,24 +221,20 @@ def remove_comparisons(m, k, rng):
     defined = np.ones((n, n), dtype=bool)
     for s, (i, j) in enumerate(pairs):
         defined[i, j] = defined[j, i] = alive[s]
-    return PCMatrix(m.values.copy(), defined, scale_s=m.scale_s)
+    return PCMatrix(m.values.copy(), defined)
 
 
 def _chain_masks(n, pairs, removals_max, rng, independent):
-    """Mask rows for k = 0..removals_max removals (nested chain by default)."""
-    ecount = len(pairs)
-    rows = np.ones((removals_max + 1, ecount), dtype=bool)
-    if independent:
-        for k in range(1, removals_max + 1):
-            alive = np.ones(ecount, dtype=bool)
-            for _ in range(k):
-                alive[_chain_step(n, pairs, alive, rng)] = False
-            rows[k] = alive
-    else:
-        alive = np.ones(ecount, dtype=bool)
-        for k in range(1, removals_max + 1):
-            alive[_chain_step(n, pairs, alive, rng)] = False
-            rows[k] = alive
+    """Mask rows for k = 0..removals_max removals (nested chain by default).
+
+    Row k drops one comparison from row k-1; with ``independent`` it
+    drops k comparisons from the complete row 0 instead.
+    """
+    rows = np.ones((removals_max + 1, len(pairs)), dtype=bool)
+    for k in range(1, removals_max + 1):
+        rows[k] = rows[0 if independent else k - 1]
+        for _ in range(k if independent else 1):
+            rows[k, _chain_step(n, pairs, rows[k], rng)] = False
     return rows
 
 
@@ -265,10 +253,7 @@ def _stream_values(cfg, b):
     logw = rng.uniform(-span, span, cfg.n)
     lv0 = _fast.consistent_logvals(t, logw)
     for d in range(1, cfg.d_max + 1):
-        if cfg.gamma_dist == "uniform":
-            lg = np.log(rng.uniform(1.0 / d, float(d), lv0.size))
-        else:
-            lg = rng.uniform(-math.log(d), math.log(d), lv0.size)
+        lg = np.log(rng.uniform(1.0 / d, float(d), lv0.size))
         masks = _chain_masks(cfg.n, t.pairs, cfg.removals_max, rng, cfg.independent_removals)
         vals = _fast.indices_for_masks(t, lv0 + lg, masks, cfg.alpha, cfg.beta)
         yield d, masks, vals
@@ -295,11 +280,14 @@ def run_experiment(cfg, threads=1):
 
     ``threads`` only spreads base matrices over worker processes; the
     result is bit-identical for any worker count because substreams are
-    per-base and the reduction order is fixed.
+    per-base and the reduction order is fixed.  A count below 1 raises
+    BadParams.
     """
+    if threads < 1:
+        raise BadParams("threads must be positive, got %r" % (threads,))
     _fast.get_tables(cfg.n)  # build once; forked workers inherit the cache
     acc = np.zeros((cfg.removals_max + 1, len(INDEX_NAMES)))
-    if threads <= 1:
+    if threads == 1:
         for b in range(cfg.base_matrices):
             acc += _base_deltas(cfg, b)
     else:

@@ -106,14 +106,14 @@ def random_pattern(rng, n, extra):
     return defined
 
 
-def brute_cycles(n, has_edge, min_len=3):
+def brute_cycles(n, defined):
     """All canonical simple cycles by raw permutation filtering.
 
     Canonical: starts at its smallest vertex, second vertex smaller than
-    the last, consecutive (and closing) pairs all edges.
+    the last, consecutive (and closing) pairs all defined comparisons.
     """
     out = set()
-    for size in range(min_len, n + 1):
+    for size in range(3, n + 1):
         for verts in combinations(range(n), size):
             first = verts[0]
             for rest in permutations(verts[1:]):
@@ -121,18 +121,18 @@ def brute_cycles(n, has_edge, min_len=3):
                 if seq[1] > seq[-1]:
                     continue
                 hops = list(zip(seq, seq[1:])) + [(seq[-1], seq[0])]
-                if all(has_edge(a, b) for a, b in hops):
+                if all(defined[a, b] for a, b in hops):
                     out.add(seq)
     return out
 
 
-def brute_paths(n, has_edge, i, j):
+def brute_paths(n, defined, i, j):
     """All simple paths i -> j by raw permutation filtering."""
     others = [v for v in range(n) if v not in (i, j)]
     out = set()
     for size in range(len(others) + 1):
         for mid in permutations(others, size):
             seq = (i,) + mid + (j,)
-            if all(has_edge(a, b) for a, b in zip(seq, seq[1:])):
+            if all(defined[a, b] for a, b in zip(seq, seq[1:])):
                 out.add(seq)
     return out

@@ -149,13 +149,13 @@ def test_criterion_4_combinatorial_goldens():
     for n, extra in cases:
         defined = random_pattern(rng, n, extra)
         g = build_graph(PCMatrix(np.ones((n, n)), defined))
-        if {c.vertices for c in enumerate_cycles(g)} != brute_cycles(n, g.has_edge):
+        if {c.vertices for c in enumerate_cycles(g)} != brute_cycles(n, defined):
             mismatches += 1
         for i in range(n):
             for j in range(n):
                 if i != j and {
                     p.vertices for p in enumerate_paths(g, i, j)
-                } != brute_paths(n, g.has_edge, i, j):
+                } != brute_paths(n, defined, i, j):
                     mismatches += 1
     ok = n_cycles == 1172 and path_counts == {326} and mismatches == 0
     _report(

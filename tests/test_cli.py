@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from pcindex import cli
 from pcindex.cli import main
+from pcindex.indices import INDEX_NAMES
+from pcindex.montecarlo import DistanceTable, ExperimentConfig
 from tests.conftest import INC4_TEXT, SPARSE7_TEXT, TRI3_TEXT
 
 DISCONNECTED_TEXT = """
@@ -239,6 +242,20 @@ def test_experiment_bad_threads(tmp_path, capsys):
     args = ["experiment", *EXP_ARGS, "--threads", "0", "--out", str(tmp_path / "x")]
     assert main(args) == 5
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_experiment_defaults_are_the_config_defaults(tmp_path, capsys, monkeypatch):
+    seen = {}
+
+    def fake_run(cfg, threads):
+        seen.update(cfg=cfg, threads=threads)
+        count = len(INDEX_NAMES)
+        return DistanceTable(INDEX_NAMES, 0, np.zeros((count, 1)), np.zeros(count))
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    assert main(["experiment", "--out", str(tmp_path / "x")]) == 0
+    capsys.readouterr()
+    assert seen == {"cfg": ExperimentConfig(), "threads": 1}
 
 
 def test_experiment_unwritable_out(tmp_path, capsys):

@@ -126,8 +126,8 @@ def test_pcmatrix_equality_and_hash(tri3, inc4):
 def test_exceeds_scale_flag(tri3, inc4):
     assert tri3.exceeds_scale  # the 12 sticks out of 1/9..9
     assert not inc4.exceeds_scale
-    wide = PCMatrix(np.array([[1, 12, 1], [1 / 12, 1, 1], [1, 1, 1.0]]), scale_s=15)
-    assert not wide.exceeds_scale
+    edge = PCMatrix(np.array([[1, 9, 1], [1 / 9, 1, 1], [1, 1, 1.0]]))
+    assert not edge.exceeds_scale  # 1/9..9 is closed
 
 
 def test_defined_pairs_and_triads(tri3, inc4):

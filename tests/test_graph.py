@@ -12,7 +12,6 @@ from pcindex import (
     build_graph,
     cycle_inconsistency,
     cycle_ratio,
-    degree_matrix,
     enumerate_cycles,
     enumerate_paths,
     is_irreducible,
@@ -32,12 +31,9 @@ def test_graph_basics(inc4):
     g = build_graph(inc4)
     assert g.n == 4
     assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
-    assert g.has_edge(1, 2) and g.has_edge(2, 1)
-    assert not g.has_edge(2, 3)
-    assert not g.has_edge(1, 1)
     assert g.neighbors(0) == (1, 2, 3)
+    assert g.neighbors(2) == (0, 1)
     assert g.neighbors(3) == (0, 1)
-    assert g.degree(0) == 3 and g.degree(2) == 2
     assert g.label(0, 1) == 2.0 / 3.0
     assert g.label(1, 0) == pytest.approx(1.5)
     with pytest.raises(KeyError):
@@ -49,15 +45,6 @@ def test_is_irreducible(tri3, inc4, sparse7, disconnected4):
     assert is_irreducible(build_graph(inc4))
     assert is_irreducible(build_graph(sparse7))
     assert not is_irreducible(build_graph(disconnected4))
-
-
-def test_degree_matrix(inc4, sparse7):
-    assert np.array_equal(np.diag(degree_matrix(build_graph(inc4))), [3, 3, 2, 2])
-    assert np.array_equal(
-        np.diag(degree_matrix(build_graph(sparse7))), [2, 4, 3, 3, 3, 3, 4]
-    )
-    d = degree_matrix(build_graph(inc4))
-    assert (d == np.diag(np.diag(d))).all()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -82,18 +69,7 @@ def test_cycles_match_brute_force(n, extra):
     m = PCMatrix(np.ones((n, n)), random_pattern(rng, n, extra))
     g = build_graph(m)
     got = {c.vertices for c in enumerate_cycles(g)}
-    assert got == brute_cycles(n, g.has_edge)
-
-
-def test_cycles_min_len_filter():
-    g = build_graph(complete(4))
-    only_squares = enumerate_cycles(g, min_len=4)
-    assert len(only_squares) == 3
-    assert all(len(c.vertices) == 4 for c in only_squares)
-    got = {c.vertices for c in only_squares}
-    assert got == brute_cycles(4, g.has_edge, min_len=4)
-    with pytest.raises(ValueError):
-        enumerate_cycles(g, min_len=2)
+    assert got == brute_cycles(n, m.defined)
 
 
 def test_sparse7_has_no_triads_but_cycles(sparse7):
@@ -102,7 +78,7 @@ def test_sparse7_has_no_triads_but_cycles(sparse7):
     assert cycles  # irreducible with redundancy, so cycles exist
     assert min(len(c.vertices) for c in cycles) == 4  # no triads at all
     assert (0, 1, 3, 6) in {c.vertices for c in cycles}
-    assert {c.vertices for c in cycles} == brute_cycles(7, g.has_edge)
+    assert {c.vertices for c in cycles} == brute_cycles(7, sparse7.defined)
 
 
 def test_cycle_cap():
@@ -140,7 +116,7 @@ def test_paths_match_brute_force(n, extra):
     for i in range(n):
         for j in range(i + 1, n):
             got = {p.vertices for p in enumerate_paths(g, i, j)}
-            assert got == brute_paths(n, g.has_edge, i, j)
+            assert got == brute_paths(n, m.defined, i, j)
 
 
 def test_paths_argument_errors(disconnected4):
