@@ -14,6 +14,9 @@ The tables are built by the ordinary public enumerators on a dummy
 complete matrix, so the fast path cannot drift combinatorially from
 what the reference functions would produce; the numeric agreement is
 pinned separately by tests that run both routes on the same stream.
+Each closed form (cycle statistics, SH, the residual family, GW) is the
+private helper in ``indices`` that the reference functions call too,
+applied here to all mask rows at once.
 """
 
 import functools
@@ -23,8 +26,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PCMatrix
-from .graph import build_graph, enumerate_cycles, enumerate_paths
-from .indices import DEFAULT_ALPHA, DEFAULT_BETA, blend
+from .graph import _ratio_inconsistency, build_graph, enumerate_cycles, enumerate_paths
+from .indices import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    _cycle_means,
+    _cycle_stats,
+    _gw,
+    _residual_indices,
+    _sh,
+    blend,
+)
 
 __all__ = ["Tables", "get_tables", "consistent_logvals", "indices_for_masks"]
 
@@ -155,9 +167,7 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
         masks = masks[None, :]
     rows = masks.shape[0]
 
-    logr = t.cyc_rows @ logvals
-    r = np.exp(logr)
-    ks = np.minimum(np.abs(1.0 - r), np.abs(1.0 - 1.0 / r))
+    ks = _ratio_inconsistency(np.exp(t.cyc_rows @ logvals))
     pi = np.exp(t.path_rows @ logvals)
 
     # log least-squares weights for every mask row in one batched solve
@@ -169,17 +179,7 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
     w = np.exp(x)
     w /= w.sum(axis=1, keepdims=True)
 
-    diffs = x[:, t.iu] - x[:, t.ju]
-    res2 = np.where(masks, (logvals[None, :] - diffs) ** 2, 0.0)
-    s = res2.sum(axis=1)
-    m_alive = masks.sum(axis=1)
-    den_def = np.where(masks, logvals[None, :] ** 2, 0.0).sum(axis=1)
-    den_miss = np.where(masks, 0.0, diffs**2).sum(axis=1)
-    gci1 = 2.0 * s / ((n - 1) * (n - 2))
-    gci2 = s / m_alive
-    lls = 2.0 * s
-    re2 = _ratio_or_zero(s, den_def)
-    re1 = _ratio_or_zero(s, den_def + den_miss)
+    gci1, gci2, re1, re2, lls = _residual_indices(n, logvals, x[:, t.iu] - x[:, t.ju], masks)
 
     # dense matrices per row for the two spectral indices and GW
     b0 = np.zeros((rows, n, n))
@@ -197,14 +197,11 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
 
     vfull = b0.copy()
     vfull[:, diag, diag] = 1.0
-    cstar = vfull / vfull.sum(axis=1)[:, None, :]
     dmask = np.zeros((rows, n, n), dtype=bool)
     dmask[:, t.iu, t.ju] = masks
     dmask[:, t.ju, t.iu] = masks
     dmask[:, diag, diag] = True
-    om = np.where(dmask, w[:, :, None], 0.0)
-    ostar = om / om.sum(axis=1)[:, None, :]
-    gw = np.abs(cstar - ostar).sum(axis=(1, 2)) / n
+    gw = _gw(vfull, dmask, w)
 
     nested = not (masks[1:] & ~masks[:-1]).any()
     kt, i1, i2, sh = (_by_survival if nested else _by_mask)(t, ks, pi, masks)
@@ -226,11 +223,6 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
     return out
 
 
-def _sh(n, lo, hi):
-    """SH from the per-pair extreme path products (last axis: pairs)."""
-    return 2.0 / (n * (n - 1)) * ((hi - lo) / ((1.0 + hi) * (1.0 + lo))).sum(axis=-1)
-
-
 def _by_mask(t, ks, pi, masks):
     """(Ktilde, I1, I2, SH) per row, testing every cycle and path against the row."""
     rows, ecount = masks.shape
@@ -239,16 +231,9 @@ def _by_mask(t, ks, pi, masks):
     path_ok = (t.path_need[None, :] & ~bits[:, None]) == 0
     stats = np.empty((4, rows))
     for q in range(rows):
-        alive = ks[cyc_ok[q]]
-        if alive.size:
-            kt = float(alive.max())
-            i1 = float(alive.mean())
-            i2 = float(np.sqrt((alive**2).sum()) / alive.size)
-        else:
-            kt = i1 = i2 = 0.0
         lo = np.minimum.reduceat(np.where(path_ok[q], pi, np.inf), t.path_starts)
         hi = np.maximum.reduceat(np.where(path_ok[q], pi, -np.inf), t.path_starts)
-        stats[:, q] = kt, i1, i2, _sh(t.n, lo, hi)
+        stats[:, q] = (*_cycle_stats(ks[cyc_ok[q]]), _sh(t.n, lo, hi))
     return stats
 
 
@@ -270,10 +255,7 @@ def _by_survival(t, ks, pi, masks):
     top = np.zeros(bins)
     np.maximum.at(top, cyc_life, ks)
     kt = _tail(np.maximum, top)
-    some = count > 0
-    per = np.where(some, count, 1)
-    i1 = np.where(some, total / per, 0.0)
-    i2 = np.where(some, np.sqrt(squares) / per, 0.0)
+    i1, i2 = _cycle_means(total, squares, count)
 
     cell = np.take(life, t.path_slots).min(axis=0).astype(np.intp) * ecount + t.path_pair
     lo = np.full(bins * ecount, np.inf)
@@ -288,8 +270,3 @@ def _by_survival(t, ks, pi, masks):
 def _tail(op, per_life):
     """Row q's aggregate over lives q+1 .. R: reverse accumulation, bin 0 dropped."""
     return op.accumulate(per_life[::-1], axis=0)[::-1][1:]
-
-
-def _ratio_or_zero(num, den):
-    safe = np.where(den > 0.0, den, 1.0)
-    return np.where(den > 0.0, num / safe, 0.0)

@@ -49,11 +49,13 @@ def _fmt(x):
 
 def cmd_analyze(args):
     m = _load(args.file)
-    if args.indices:
+    if args.indices is not None:
         wanted = [s.strip() for s in args.indices.split(",") if s.strip()]
         bad = [s for s in wanted if s not in INDEX_NAMES]
         if bad:
             raise BadParams("unknown index name(s): %s" % ", ".join(bad))
+        if not wanted:
+            raise BadParams("--indices names no index")
         names = [s for s in INDEX_NAMES if s in wanted]
     else:
         names = list(INDEX_NAMES)

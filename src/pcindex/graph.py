@@ -9,6 +9,8 @@ cycle equals 1 iff the judgments along it are mutually consistent.
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .core import PCError
 
 __all__ = [
@@ -26,13 +28,16 @@ __all__ = [
     "path_product",
 ]
 
-# Beyond this size the number of simple cycles explodes; an explicit
-# max_cycles cap is required from the caller.
+# The largest n the experiment tabulates.  The enumeration limits are
+# the counts of its complete graph K8 (simple cycles, and simple paths
+# between two vertices), so no graph on 8 or fewer vertices reaches them.
 FREE_ENUMERATION_LIMIT = 8
+MAX_CYCLES = 8018
+MAX_PATHS = 1957
 
 
 class CycleCapExceeded(PCError):
-    """Cycle enumeration would exceed the allowed count."""
+    """Cycle or path enumeration would exceed the allowed count."""
 
 
 class NoPath(PCError):
@@ -123,15 +128,11 @@ def enumerate_cycles(g, max_cycles=None):
     the smallest cycle vertex as the start and keeps the direction with
     second < last, which also makes the output order deterministic.
 
-    With ``max_cycles=None`` enumeration is unlimited for n <= 8 and
-    refused above (pass an explicit cap to override); when a cap is
-    given, exceeding it raises CycleCapExceeded.
+    Finding more than ``max_cycles`` cycles raises CycleCapExceeded;
+    the default cap is MAX_CYCLES, the cycle count of K8.
     """
-    if max_cycles is None and g.n > FREE_ENUMERATION_LIMIT:
-        raise CycleCapExceeded(
-            "refusing unbounded cycle enumeration for n=%d > %d; pass max_cycles"
-            % (g.n, FREE_ENUMERATION_LIMIT)
-        )
+    if max_cycles is None:
+        max_cycles = MAX_CYCLES
     out = []
     adj = g._adj
     path = []
@@ -142,9 +143,9 @@ def enumerate_cycles(g, max_cycles=None):
             # a walk back over the first edge fails path[1] < path[-1]
             if u == start and path[1] < path[-1]:
                 out.append(Cycle(tuple(path)))
-                if max_cycles is not None and len(out) > max_cycles:
+                if len(out) > max_cycles:
                     raise CycleCapExceeded(
-                        "more than max_cycles=%d simple cycles" % max_cycles
+                        "more than %d simple cycles" % max_cycles
                     )
             if u <= start or u in on_path:
                 continue
@@ -165,7 +166,9 @@ def enumerate_paths(g, i, j):
     """All simple paths from i to j, in lexicographic vertex order.
 
     Includes the single-edge path when {i, j} is an edge.  Raises NoPath
-    when the graph offers no route (it is then disconnected).
+    when the graph offers no route (it is then disconnected), and
+    CycleCapExceeded on finding more than MAX_PATHS paths, the count
+    between two vertices of K8.
     """
     if i == j:
         raise ValueError("endpoints must differ")
@@ -181,6 +184,10 @@ def enumerate_paths(g, i, j):
         for u in adj[v]:
             if u == j:
                 out.append(Path(tuple(path) + (j,)))
+                if len(out) > MAX_PATHS:
+                    raise CycleCapExceeded(
+                        "more than %d simple paths between %d and %d" % (MAX_PATHS, i, j)
+                    )
             elif u not in on_path:
                 path.append(u)
                 on_path.add(u)
@@ -203,16 +210,17 @@ def cycle_ratio(g, s):
     the same value for reciprocal labels.
     """
     v = s.vertices
-    r = 1.0
-    for a, b in zip(v, v[1:]):
-        r *= g.label(a, b)
-    return r / g.label(v[0], v[-1])
+    return path_product(g, s) / g.label(v[0], v[-1])
 
 
 def cycle_inconsistency(g, s):
     """min(|1 - R|, |1 - 1/R|) for the cycle ratio R; in [0, 1)."""
-    r = cycle_ratio(g, s)
-    return min(abs(1.0 - r), abs(1.0 - 1.0 / r))
+    return float(_ratio_inconsistency(cycle_ratio(g, s)))
+
+
+def _ratio_inconsistency(r):
+    """min(|1 - r|, |1 - 1/r|), elementwise over ratios r > 0."""
+    return np.minimum(np.abs(1.0 - r), np.abs(1.0 - 1.0 / r))
 
 
 def path_product(g, p):

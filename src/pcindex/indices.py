@@ -4,13 +4,21 @@ Two families are provided.  The classical suite (``classical_indices``)
 applies to complete matrices only and serves as the reference the
 incomplete-capable indices must reduce to.  The incomplete-capable
 family works on any matrix whose comparison graph is connected and
-falls into two groups: matrix-based indices built from simple cycles
-and simple paths (max-cycle index, cycle means, their blends, and the
-path-range index), and ranking-based indices built from residuals
-between entries and derived weight ratios (two least-squares variants,
-a column-scaling distance, two relative-error variants, the auxiliary
-eigenvalue index, the optimal-completion least-squares value, and a
-degree-scaled spectral-radius index).
+falls into three groups: matrix-based indices built from simple cycles
+and simple paths (``cycle_based_indices`` for the max-cycle index and
+the cycle means, ``blend`` for their blends, ``sh_index_inc`` for the
+path-range index); the six indices of one least-squares fit
+(``least_squares_indices``: two GCI normalizations, a column-scaling
+distance, two relative-error denominators and the optimal-completion
+least-squares value); and two spectral indices (``harker_ci``,
+``oliva_index``).
+
+Each closed form is written once, in a private helper over values that
+are already computed (cycle values, per-pair path extremes, residuals,
+dense column-scaled matrices), with its reductions on the last axes.
+The functions here apply the helpers to one matrix, whose inputs come
+from enumerated cycles and paths and a dense ILLS solve; ``_fast``
+applies the same helpers to a whole removal chain at once.
 """
 
 from typing import NamedTuple
@@ -19,8 +27,9 @@ import numpy as np
 
 from .core import NotComplete, NotIrreducible, PCError, is_complete, list_triads
 from .graph import (
+    _ratio_inconsistency,
     build_graph,
-    cycle_inconsistency,
+    cycle_ratio,
     enumerate_cycles,
     enumerate_paths,
     is_irreducible,
@@ -39,11 +48,8 @@ __all__ = [
     "classical_indices",
     "cycle_based_indices",
     "sh_index_inc",
-    "gci_inc",
-    "gw_inc",
-    "re_inc",
+    "least_squares_indices",
     "harker_ci",
-    "lls_index",
     "oliva_index",
     "all_indices",
 ]
@@ -114,9 +120,55 @@ class CycleIndices(NamedTuple):
     i2: float
 
 
-def _triad_k(c_ik, c_kj, c_ij):
-    r = c_ik * c_kj / c_ij
-    return min(abs(1.0 - r), abs(1.0 - 1.0 / r))
+def _cycle_stats(ks):
+    """(Ktilde, I1, I2) of the cycle values ks, all 0 when there are none."""
+    i1, i2 = _cycle_means(ks.sum(), (ks**2).sum(), ks.size)
+    return CycleIndices(float(ks.max(initial=0.0)), float(i1), float(i2))
+
+
+def _cycle_means(total, squares, count):
+    """(I1, I2) from the sum, sum of squares and count of the cycle values; 0 where count is 0."""
+    per = np.maximum(count, 1)
+    return total / per, np.sqrt(squares) / per
+
+
+def _sh(n, lo, hi):
+    """SH from the per-pair extreme indirect comparisons lo and hi (last axis: pairs i < j)."""
+    return 2.0 / (n * (n - 1)) * ((hi - lo) / ((1.0 + hi) * (1.0 + lo))).sum(axis=-1)
+
+
+def _residual_indices(n, logs, fit, defined):
+    """(GCI1, GCI2, RE1, RE2, LLS) over the upper-triangle slots (last axis).
+
+    ``logs`` are the log-entries ln c_ij, ``fit`` the fitted log-ratios
+    x_i - x_j and ``defined`` marks the slots present; the residual is
+    ln c_ij - (x_i - x_j) on those, and a missing slot adds its fit^2 to
+    RE1's denominator.  A zero RE denominator means every defined
+    log-entry is 0, so every residual is 0 too and the value is 0.
+    """
+    s = np.where(defined, (logs - fit) ** 2, 0.0).sum(axis=-1)
+    energy = np.where(defined, logs**2, 0.0).sum(axis=-1)
+    total = energy + np.where(defined, 0.0, fit**2).sum(axis=-1)
+    return (
+        2.0 * s / ((n - 1) * (n - 2)),
+        s / defined.sum(axis=-1),
+        np.divide(s, total, out=np.zeros_like(s), where=total > 0.0),
+        np.divide(s, energy, out=np.zeros_like(s), where=energy > 0.0),
+        2.0 * s,
+    )
+
+
+def _gw(v, defined, w):
+    """GW from dense (..., n, n) entries v (0 where missing), their mask and weights (..., n).
+
+    The matrix and a weight-copy pattern (w_i at every defined cell) are
+    both column-scaled over their defined cells, diagonal included, and
+    the mean absolute difference is taken.
+    """
+    omega = np.where(defined, w[..., :, None], 0.0)
+    cstar = v / v.sum(axis=-2)[..., None, :]
+    ostar = omega / omega.sum(axis=-2)[..., None, :]
+    return np.abs(cstar - ostar).sum(axis=(-2, -1)) / v.shape[-1]
 
 
 def classical_indices(m):
@@ -141,10 +193,8 @@ def classical_indices(m):
     lam = principal_eigen(v).value
     ci = max(0.0, (lam - n) / (n - 1))
 
-    ks = np.array([_triad_k(t.c_ik, t.c_kj, t.c_ij) for t in list_triads(m)])
-    kmax = float(ks.max())
-    i1 = float(ks.mean())
-    i2 = float(np.sqrt((ks**2).sum()) / ks.size)
+    r = np.array([t.c_ik * t.c_kj / t.c_ij for t in list_triads(m)])
+    kmax, i1, i2 = _cycle_stats(_ratio_inconsistency(r))
     ialpha, ialphabeta = blend(kmax, i1, i2)
 
     e = v * w[None, :] / w[:, None]
@@ -155,10 +205,7 @@ def classical_indices(m):
     gw = float(np.abs(cstar - w[:, None]).sum()) / n
 
     prods = np.einsum("ik,kj->ijk", v, v)
-    rmin = prods.min(axis=2)
-    rmax = prods.max(axis=2)
-    terms = (rmax - rmin) / ((1.0 + rmax) * (1.0 + rmin))
-    ish = 2.0 / (n * (n - 1)) * float(terms[iu].sum())
+    ish = float(_sh(n, prods.min(axis=2)[iu], prods.max(axis=2)[iu]))
 
     chat = np.log(v)
     delta = chat.mean(axis=1)
@@ -190,15 +237,8 @@ def cycle_based_indices(m, max_cycles=None):
     g = build_graph(m)
     if not is_irreducible(g):
         raise NotIrreducible("comparison graph is disconnected")
-    cycles = enumerate_cycles(g, max_cycles=max_cycles)
-    if not cycles:
-        return CycleIndices(0.0, 0.0, 0.0)
-    ks = np.array([cycle_inconsistency(g, s) for s in cycles])
-    return CycleIndices(
-        float(ks.max()),
-        float(ks.mean()),
-        float(np.sqrt((ks**2).sum()) / ks.size),
-    )
+    r = np.array([cycle_ratio(g, s) for s in enumerate_cycles(g, max_cycles=max_cycles)])
+    return _cycle_stats(_ratio_inconsistency(r))
 
 
 def sh_index_inc(m):
@@ -213,90 +253,45 @@ def sh_index_inc(m):
     if not is_irreducible(g):
         raise NotIrreducible("comparison graph is disconnected")
     n = m.n
-    total = 0.0
+    lo = []
+    hi = []
     for i in range(n):
         for j in range(i + 1, n):
             prods = [path_product(g, p) for p in enumerate_paths(g, i, j)]
-            r_lo = min(prods)
-            r_hi = max(prods)
-            total += (r_hi - r_lo) / ((1.0 + r_hi) * (1.0 + r_lo))
-    return 2.0 / (n * (n - 1)) * total
+            lo.append(min(prods))
+            hi.append(max(prods))
+    return float(_sh(n, np.array(lo), np.array(hi)))
 
 
-def _least_squares(m, w):
-    """GCI1, GCI2, GW, RE1, RE2 and LLS from the least-squares weights w.
+def least_squares_indices(m):
+    """GCI1, GCI2, GW, RE1, RE2 and LLS from one least-squares fit, as a name -> value map.
 
-    One residual pass over the upper triangle: r_ij = ln c_ij - (x_i - x_j)
-    with x = ln w on the defined pairs, and the fitted log-ratio x_i - x_j
-    alone on the missing ones.  A zero RE denominator means every
-    defined entry is 1, so the residuals are 0 too and the value is 0.
+    With ILLS log-weights x, the residual of a defined pair is
+    r_ij = ln c_ij - (x_i - x_j) and s is the sum of r_ij^2 over i < j.
+    GCI1 = 2s/((n-1)(n-2)) and GCI2 = s/(defined pairs); LLS = 2s, the
+    least-squares criterion at the optimal completion (missing cells
+    filled with the fitted ratios contribute nothing).  RE2 divides s by
+    the defined-cell log energy, RE1 adds to that denominator the fitted
+    log-ratio energy of the missing cells.  GW is the column-scaling
+    distance over the defined cells.  On complete input GCI1, GW, RE1
+    and RE2 equal their classical counterparts.  Nothing is enumerated,
+    so any n works.
     """
-    n = m.n
-    iu = np.triu_indices(n, 1)
-    d = m.defined[iu]
+    w = ills(m)
+    iu = np.triu_indices(m.n, 1)
     x = np.log(w)
-    fit = x[iu[0]] - x[iu[1]]
-    logs = np.log(m.values[iu][d])
-    s = float(((logs - fit[d]) ** 2).sum())
-    energy = float((logs**2).sum())
-    gap = float((fit[~d] ** 2).sum())
-
-    full = m.defined
-    v = np.where(full, m.values, 0.0)
-    omega = np.where(full, w[:, None], 0.0)
-    cstar = v / v.sum(axis=0)[None, :]
-    ostar = omega / omega.sum(axis=0)[None, :]
-
+    gci1, gci2, re1, re2, lls = _residual_indices(
+        m.n, np.log(m.values[iu]), x[iu[0]] - x[iu[1]], m.defined[iu]
+    )
+    gw = _gw(np.where(m.defined, m.values, 0.0), m.defined, w)
     return {
-        "GCI1": 2.0 * s / ((n - 1) * (n - 2)),
-        "GCI2": s / logs.size,
-        "GW": float(np.abs(np.where(full, cstar - ostar, 0.0)).sum()) / n,
-        "RE1": s / (energy + gap) if energy + gap > 0.0 else 0.0,
-        "RE2": s / energy if energy > 0.0 else 0.0,
-        "LLS": 2.0 * s,
+        "GCI1": float(gci1),
+        "GCI2": float(gci2),
+        "GW": float(gw),
+        "RE1": float(re1),
+        "RE2": float(re2),
+        "LLS": float(lls),
     }
-
-
-def _variant(name, variant):
-    if variant not in ("v1", "v2"):
-        raise ValueError("variant must be 'v1' or 'v2', got %r" % (variant,))
-    return name + variant[1]
-
-
-def gci_inc(m, variant="v1"):
-    """Geometric-consistency value from least-squares weights, two normalizations.
-
-    variant="v1" divides the summed squared log-residuals by
-    (n-1)(n-2)/2; variant="v2" divides by the number of defined pairs.
-    They coincide on complete matrices only up to the constant ratio of
-    those denominators.
-    """
-    key = _variant("GCI", variant)
-    return _least_squares(m, ills(m))[key]
-
-
-def gw_inc(m):
-    """Column-scaling distance computed over the defined cells only.
-
-    The matrix and a weight-copy pattern (w_i placed at every defined
-    cell) are both column-scaled over their defined cells, diagonal
-    included, and the mean absolute difference is taken.  Equals the
-    classical column-scaling distance on complete input.
-    """
-    return _least_squares(m, ills(m))["GW"]
-
-
-def re_inc(m, variant="v1"):
-    """Relative-error share of the least-squares fit, two denominators.
-
-    The numerator is the squared log-residual energy over defined cells.
-    variant="v1" adds, to the denominator, the log-ratio energy the
-    fitted weights assign to the missing cells; variant="v2" uses the
-    defined-cell log energy alone.  Both equal the classical
-    relative-error index on complete input.
-    """
-    key = _variant("RE", variant)
-    return _least_squares(m, ills(m))[key]
 
 
 def harker_ci(m):
@@ -308,16 +303,6 @@ def harker_ci(m):
     n = m.n
     lam = harker_rank(m).value
     return max(0.0, (lam - n) / (n - 1))
-
-
-def lls_index(m):
-    """Least-squares criterion value at the optimal completion.
-
-    Missing cells are filled with the fitted weight ratios, so they
-    contribute nothing; the value is the summed squared log-residuals
-    over all defined ordered pairs (twice the upper-triangle sum).
-    """
-    return _least_squares(m, ills(m))["LLS"]
 
 
 def oliva_index(m):
@@ -341,18 +326,16 @@ def oliva_index(m):
 def all_indices(m, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA):
     """All fourteen incomplete-capable indices as a name -> value map.
 
-    ``alpha`` and ``beta`` are the blend weights of ``blend``.  The
-    least-squares weights are computed once and shared by the
-    ranking-based indices; results are identical to calling the
-    individual functions.  A NaN or infinite value raises
-    NonFiniteIndex.
+    ``alpha`` and ``beta`` are the blend weights of ``blend``; results
+    are identical to calling the individual functions.  A NaN or
+    infinite value raises NonFiniteIndex.
     """
     check_blend(alpha, beta)
     if not is_irreducible(build_graph(m)):
         raise NotIrreducible("comparison graph is disconnected")
     cyc = cycle_based_indices(m)
     ialpha, ialphabeta = blend(*cyc, alpha, beta)
-    vals = _least_squares(m, ills(m))
+    vals = least_squares_indices(m)
     vals.update({
         "Ktilde": cyc.ktilde,
         "I1": cyc.i1,

@@ -2,9 +2,10 @@
 
 Every criterion is checked at its stated tolerance; the verdict lines are
 echoed again in the terminal summary (see conftest) so a plain ``pytest -v``
-run shows all seven outcomes at a glance.  Two behaviour pins follow: the
-SHA-256 of the CSV output of the desk run and of a small n=8 run, so a
-change that claims to keep the experiment's output can show it did.
+run shows all seven outcomes at a glance.  Three behaviour pins follow: the
+SHA-256 of the CSV output of the desk run, of a small n=8 run and of a
+small run with independent removal sets, so a change that claims to keep
+the experiment's output can show it did.
 """
 
 import hashlib
@@ -26,8 +27,8 @@ from pcindex import (
     gen_consistent,
     gmm,
     ills,
+    least_squares_indices,
     list_triads,
-    lls_index,
     parse_matrix,
     principal_eigen,
     run_experiment,
@@ -45,11 +46,16 @@ from tests.conftest import (
 DESK = ExperimentConfig(n=7, base_matrices=200, d_max=30, removals_max=15, seed=20260815)
 # nested chains down to a spanning tree on the largest tabulated n
 WIDE = ExperimentConfig(n=8, base_matrices=10, d_max=3, removals_max=21, seed=20260815)
+# a fresh removal set per k, so the rows do not nest and take the per-row mask route
+INDEPENDENT = ExperimentConfig(
+    n=7, base_matrices=6, d_max=10, removals_max=15, seed=5, independent_removals=True
+)
 
 # SHA-256 of distance_csv + totals_csv, taken with the per-row evaluation of
 # every chain row; a mismatch means some printed digit of the output moved
 DESK_SHA256 = "9a445474042a5983fd1713b75bfb7b9111ff408f5aa1f049545b5441bf00210f"
 WIDE_SHA256 = "81e2cf95e9d79d3daa77aba9e786873039d739fe8eb1bd1e8bf44b14382b6993"
+INDEPENDENT_SHA256 = "8f0dd925a6472c7127d9d32debe11843cd8d7cb49ee37766d4e0be40516de4de"
 
 
 def _report(num, ok, detail):
@@ -122,7 +128,7 @@ def test_criterion_3_hand_goldens():
     checks = [
         ("K", c["K"] == 0.5),
         ("GCI", abs(c["GCI"] - ln2**2 / 3.0) <= 1e-12),
-        ("LLS", abs(lls_index(m) - 6.0 * (ln2 / 3.0) ** 2) <= 1e-12),
+        ("LLS", abs(least_squares_indices(m)["LLS"] - 6.0 * (ln2 / 3.0) ** 2) <= 1e-12),
         ("lambda_max", abs(lam - (1.0 + 2.0 ** (1.0 / 3.0) + 2.0 ** (-1.0 / 3.0))) <= 1e-6),
         ("RE", abs(c["RE"] - 0.020365) <= 1e-5),
         ("ISH", abs(c["ISH"] - 1673.0 / 16380.0) <= 1e-9),
@@ -258,3 +264,7 @@ def test_desk_csv_pin(desk_runs):
 
 def test_wide_csv_pin():
     assert _csv_sha256(run_experiment(WIDE)) == WIDE_SHA256
+
+
+def test_independent_csv_pin():
+    assert _csv_sha256(run_experiment(INDEPENDENT)) == INDEPENDENT_SHA256

@@ -113,6 +113,42 @@ def test_analyze_unknown_index_name(tmp_path, capsys):
     assert "Bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_analyze_empty_index_selection(tmp_path, capsys, extra):
+    path = _write(tmp_path, "tri3.txt", TRI3_TEXT)
+    assert main(["analyze", path, "--indices", ","] + extra) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def _graph_text(n, edges):
+    """Matrix file with c_ij = 2 on each edge (i, j) and every other pair missing."""
+    rows = [["1" if i == j else "?" for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        rows[i][j], rows[j][i] = "2", "1/2"
+    return "%d\n%s\n" % (n, "\n".join(" ".join(r) for r in rows))
+
+
+def test_analyze_beyond_n8_path_graph(tmp_path, capsys):
+    # no cycle and one path per pair: the enumeration limits count work, not n
+    path = _write(tmp_path, "path9.txt", _graph_text(9, [(i, i + 1) for i in range(8)]))
+    assert main(["analyze", path, "--json"]) == 0
+    vals = json.loads(capsys.readouterr().out)["indices"]
+    for k in ("Ktilde", "I1", "I2", "Ialpha", "Ialphabeta", "SH"):
+        assert vals[k] == 0.0, k
+
+
+def test_analyze_diamond_chain_refused(tmp_path, capsys):
+    # twelve diamonds in series: 12 cycles, but 2^12 paths between the ends
+    edges = []
+    for a in range(0, 36, 3):
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+    path = _write(tmp_path, "diamonds.txt", _graph_text(37, edges))
+    assert main(["analyze", path]) == 2
+    assert "simple paths" in capsys.readouterr().err
+
+
 def test_analyze_bad_alpha(tmp_path, capsys):
     path = _write(tmp_path, "tri3.txt", TRI3_TEXT)
     bad = (("--alpha", ("1.5", "nan", "inf")), ("--beta", ("nan", "inf", "1.0", "0.5000001")))

@@ -1,5 +1,7 @@
-"""Every module's ``__all__`` names only what the module defines, and no
-module keeps an import it neither uses nor re-exports."""
+"""Every module's ``__all__`` names only what the module defines, no
+module keeps an import it neither uses nor re-exports, and no module
+keeps a function or class that it does not export and that no other
+code in the package names."""
 
 import ast
 import pkgutil
@@ -19,25 +21,75 @@ def test_star_import(module):
     exec("from pcindex.%s import *" % module, namespace)
 
 
+def _exports(tree):
+    """The names a parsed module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _unused_imports(source):
     """Module-level imported names that the module never reads and does not export."""
     tree = ast.parse(source)
     imported = set()
-    exported = set()
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(imported - read - exported)
+    return sorted(imported - read - _exports(tree))
+
+
+def _dead_definitions(sources):
+    """Module-level functions and classes, as "module.name", that their module does
+    not export and that no statement but their own definition names.
+
+    ``sources`` maps module name -> source text; a name counts as used when
+    it is read, looked up as an attribute, or imported anywhere in them.
+    """
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exported = _exports(tree)
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and own not in exported:
+                defined.append((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                used.update(n for n in names if n != own)
+    return ["%s.%s" % (module, name) for module, name in defined if name not in used]
 
 
 def test_unused_import_check_flags_a_leftover():
     assert _unused_imports("import numpy as np\nimport os\nx = np.ones(3)\n") == ["os"]
     assert _unused_imports("from a import b, c\n__all__ = ['c']\nb()\n") == []
+
+
+def test_dead_definition_check_flags_a_leftover():
+    sources = {
+        "a": "__all__ = ['f']\ndef f(r):\n    return _ratio(r)\ndef _ratio(r):\n    return r\n"
+        "def _ratio_or_zero(x):\n    return _ratio_or_zero(x)\n",
+        "b": "from .a import f\ndef _orphan(r):\n    return f(r)\nclass _Used:\n    pass\n",
+        "c": "import b\nb._Used()\n",
+    }
+    assert _dead_definitions(sources) == ["a._ratio_or_zero", "b._orphan"]
+
+
+def test_no_dead_definitions():
+    root = Path(pcindex.__file__).parent
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(root.glob("*.py"))}
+    assert _dead_definitions(sources) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -93,6 +93,17 @@ def test_cycle_cap():
     assert len(enumerate_cycles(build_graph(complete(8)))) == 8018
 
 
+def test_path_cap():
+    # a 9-vertex path is past n = 8 but has one path per pair and no cycle
+    chain = np.eye(9, dtype=bool) | np.eye(9, k=1, dtype=bool) | np.eye(9, k=-1, dtype=bool)
+    g = build_graph(PCMatrix(np.ones((9, 9)), chain))
+    assert enumerate_cycles(g) == []
+    assert [p.vertices for p in enumerate_paths(g, 0, 8)] == [tuple(range(9))]
+    assert len(enumerate_paths(build_graph(complete(8)), 0, 1)) == 1957
+    with pytest.raises(CycleCapExceeded):
+        enumerate_paths(build_graph(complete(9)), 0, 1)
+
+
 def test_path_count_complete7():
     g = build_graph(complete(7))
     assert len(enumerate_paths(g, 0, 1)) == 326

@@ -28,15 +28,12 @@ from pcindex import (
     cycle_based_indices,
     disturb,
     enumerate_cycles,
-    gci_inc,
     gen_consistent,
     gmm,
-    gw_inc,
     harker_ci,
     ills,
-    lls_index,
+    least_squares_indices,
     oliva_index,
-    re_inc,
     remove_comparisons,
     sh_index_inc,
 )
@@ -241,13 +238,11 @@ def test_sh_inc_dominates_classical_on_complete():
 
 
 def test_gci_inc_variants(tri3, inc4):
-    v1 = gci_inc(tri3, "v1")
-    v2 = gci_inc(tri3, "v2")
-    assert v1 == pytest.approx(TRI3_GCI, abs=1e-12)
-    assert v2 == pytest.approx(TRI3_GCI / 3.0, abs=1e-12)  # n=3: 3 pairs vs (n-1)(n-2)/2=1
-    assert gci_inc(inc4) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        gci_inc(tri3, "v3")
+    vals = least_squares_indices(tri3)
+    assert vals["GCI1"] == pytest.approx(TRI3_GCI, abs=1e-12)
+    # n=3: 3 pairs vs (n-1)(n-2)/2=1
+    assert vals["GCI2"] == pytest.approx(TRI3_GCI / 3.0, abs=1e-12)
+    assert least_squares_indices(inc4)["GCI1"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gci_inc_longhand():
@@ -261,9 +256,10 @@ def test_gci_inc_longhand():
             if m.defined[i, j]:
                 s += math.log(m[i, j] * w[j] / w[i]) ** 2
                 cnt += 1
-    assert gci_inc(m, "v1") == pytest.approx(2 * s / 20.0, rel=1e-9)
-    assert gci_inc(m, "v2") == pytest.approx(s / cnt, rel=1e-9)
-    assert lls_index(m) == pytest.approx(2 * s, rel=1e-9)
+    vals = least_squares_indices(m)
+    assert vals["GCI1"] == pytest.approx(2 * s / 20.0, rel=1e-9)
+    assert vals["GCI2"] == pytest.approx(s / cnt, rel=1e-9)
+    assert vals["LLS"] == pytest.approx(2 * s, rel=1e-9)
 
 
 def test_gw_inc_longhand(inc4):
@@ -278,8 +274,8 @@ def test_gw_inc_longhand(inc4):
         for i in range(n):
             if m.defined[i, j]:
                 total += abs(m[i, j] / csum - w[i] / osum)
-    assert gw_inc(m) == pytest.approx(total / n, rel=1e-9)
-    assert gw_inc(inc4) == pytest.approx(0.0, abs=1e-12)
+    assert least_squares_indices(m)["GW"] == pytest.approx(total / n, rel=1e-9)
+    assert least_squares_indices(inc4)["GW"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_re_inc_longhand(inc4):
@@ -295,19 +291,19 @@ def test_re_inc_longhand(inc4):
                 den += math.log(m[i, j]) ** 2
             else:
                 miss += (x[i] - x[j]) ** 2
-    assert re_inc(m, "v1") == pytest.approx(num / (den + miss), rel=1e-9)
-    assert re_inc(m, "v2") == pytest.approx(num / den, rel=1e-9)
-    assert re_inc(inc4, "v1") == pytest.approx(0.0, abs=1e-12)
-    assert re_inc(inc4, "v2") == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        re_inc(m, "v0")
+    vals = least_squares_indices(m)
+    assert vals["RE1"] == pytest.approx(num / (den + miss), rel=1e-9)
+    assert vals["RE2"] == pytest.approx(num / den, rel=1e-9)
+    vals = least_squares_indices(inc4)
+    assert vals["RE1"] == pytest.approx(0.0, abs=1e-12)
+    assert vals["RE2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_re_inc_all_ones_convention():
     # every defined entry 1: zero residual over zero energy is defined as 0
-    m = PCMatrix(np.ones((4, 4)))
-    assert re_inc(m, "v1") == 0.0
-    assert re_inc(m, "v2") == 0.0
+    vals = least_squares_indices(PCMatrix(np.ones((4, 4))))
+    assert vals["RE1"] == 0.0
+    assert vals["RE2"] == 0.0
 
 
 def test_harker_ci_and_oliva(tri3, inc4):
@@ -331,11 +327,8 @@ def test_incomplete_indices_need_connected(disconnected4):
     for fn in (
         cycle_based_indices,
         sh_index_inc,
-        gci_inc,
-        gw_inc,
-        re_inc,
+        least_squares_indices,
         harker_ci,
-        lls_index,
         oliva_index,
         all_indices,
     ):
@@ -353,13 +346,9 @@ def test_all_indices_matches_individual(tri3, inc4, sparse7):
         assert vals["I2"] == cyc.i2
         assert (vals["Ialpha"], vals["Ialphabeta"]) == blend(*cyc)
         assert vals["SH"] == sh_index_inc(m)
-        assert vals["GCI1"] == pytest.approx(gci_inc(m, "v1"), rel=1e-12, abs=1e-15)
-        assert vals["GCI2"] == pytest.approx(gci_inc(m, "v2"), rel=1e-12, abs=1e-15)
-        assert vals["GW"] == pytest.approx(gw_inc(m), rel=1e-12, abs=1e-15)
-        assert vals["RE1"] == pytest.approx(re_inc(m, "v1"), rel=1e-12, abs=1e-15)
-        assert vals["RE2"] == pytest.approx(re_inc(m, "v2"), rel=1e-12, abs=1e-15)
+        for k, v in least_squares_indices(m).items():
+            assert vals[k] == v
         assert vals["CI"] == harker_ci(m)
-        assert vals["LLS"] == pytest.approx(lls_index(m), rel=1e-12, abs=1e-15)
         assert vals["Oliva"] == oliva_index(m)
 
 
@@ -389,9 +378,8 @@ def test_lls_equals_scaled_gci1():
     rng = np.random.default_rng(55)
     for n in (4, 6):
         m = remove_comparisons(disturb(gen_consistent(n, rng), 6, rng), 2, rng)
-        assert lls_index(m) == pytest.approx(
-            (n - 1) * (n - 2) * gci_inc(m, "v1"), rel=1e-12
-        )
+        vals = least_squares_indices(m)
+        assert vals["LLS"] == pytest.approx((n - 1) * (n - 2) * vals["GCI1"], rel=1e-12)
 
 
 def test_complete_reductions_quick():
@@ -400,10 +388,11 @@ def test_complete_reductions_quick():
         m = disturb(gen_consistent(7, rng), 8, rng)
         c = classical_indices(m)
         assert harker_ci(m) == pytest.approx(c["CI"], abs=1e-8)
-        assert gci_inc(m, "v1") == pytest.approx(c["GCI"], abs=1e-8)
-        assert gw_inc(m) == pytest.approx(c["GW"], abs=1e-8)
-        assert re_inc(m, "v1") == pytest.approx(c["RE"], abs=1e-8)
-        assert re_inc(m, "v2") == pytest.approx(c["RE"], abs=1e-8)
+        vals = least_squares_indices(m)
+        assert vals["GCI1"] == pytest.approx(c["GCI"], abs=1e-8)
+        assert vals["GW"] == pytest.approx(c["GW"], abs=1e-8)
+        assert vals["RE1"] == pytest.approx(c["RE"], abs=1e-8)
+        assert vals["RE2"] == pytest.approx(c["RE"], abs=1e-8)
 
 
 def test_consistency_zeroing_public_route():
