@@ -7,6 +7,7 @@ the carriers of inconsistency: the product of labels around a simple
 cycle equals 1 iff the judgments along it are mutually consistent.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -28,16 +29,17 @@ __all__ = [
     "path_product",
 ]
 
-# The largest n the experiment tabulates.  The enumeration limits are
-# the counts of its complete graph K8 (simple cycles, and simple paths
-# between two vertices), so no graph on 8 or fewer vertices reaches them.
+# The largest n the experiment tabulates.
 FREE_ENUMERATION_LIMIT = 8
-MAX_CYCLES = 8018
-MAX_PATHS = 1957
+# Both searches below count one step per vertex they add to a partial
+# path and give up past MAX_STEPS, the steps the cycle search of the
+# complete graph K8 takes.  Adding an edge never removes a partial path,
+# so no graph on 8 or fewer vertices goes past the budget.
+MAX_STEPS = 16064
 
 
 class CycleCapExceeded(PCError):
-    """Cycle or path enumeration would exceed the allowed count."""
+    """Cycle or path enumeration would exceed its step budget or cycle cap."""
 
 
 class NoPath(PCError):
@@ -128,37 +130,46 @@ def enumerate_cycles(g, max_cycles=None):
     the smallest cycle vertex as the start and keeps the direction with
     second < last, which also makes the output order deterministic.
 
-    Finding more than ``max_cycles`` cycles raises CycleCapExceeded;
-    the default cap is MAX_CYCLES, the cycle count of K8.
+    The search raises CycleCapExceeded past MAX_STEPS steps.  An explicit
+    ``max_cycles`` replaces that budget with a cap on the cycles found,
+    for callers that accept the work of a larger graph.
     """
     if max_cycles is None:
-        max_cycles = MAX_CYCLES
+        max_steps, max_cycles = MAX_STEPS, math.inf
+    else:
+        max_steps = math.inf
     out = []
-    adj = g._adj
-    path = []
-    on_path = set()
-
-    def extend(v, start):
-        for u in adj[v]:
-            # a walk back over the first edge fails path[1] < path[-1]
-            if u == start and path[1] < path[-1]:
-                out.append(Cycle(tuple(path)))
-                if len(out) > max_cycles:
-                    raise CycleCapExceeded(
-                        "more than %d simple cycles" % max_cycles
-                    )
-            if u <= start or u in on_path:
-                continue
-            path.append(u)
-            on_path.add(u)
-            extend(u, start)
-            path.pop()
-            on_path.remove(u)
-
+    steps = 0
     for s in range(g.n):
-        path[:] = [s]
+        # the search from s walks only vertices above s
+        up = [tuple(u for u in a if u > s) for a in g._adj]
+        closes = set(g._adj[s])
+        path = [s]
         on_path = {s}
-        extend(s, s)
+        walk = iter(up[s])
+        stack = []
+        while True:
+            for u in walk:
+                if u in on_path:
+                    continue
+                steps += 1
+                if steps > max_steps:
+                    raise CycleCapExceeded("cycle search exceeded %d steps" % max_steps)
+                path.append(u)
+                # keeping second < last lists each direction class once
+                if u in closes and path[1] < u:
+                    out.append(Cycle(tuple(path)))
+                    if len(out) > max_cycles:
+                        raise CycleCapExceeded("more than %d simple cycles" % max_cycles)
+                on_path.add(u)
+                stack.append(walk)
+                walk = iter(up[u])
+                break
+            else:
+                if not stack:
+                    break
+                walk = stack.pop()
+                on_path.remove(path.pop())
     return out
 
 
@@ -167,8 +178,7 @@ def enumerate_paths(g, i, j):
 
     Includes the single-edge path when {i, j} is an edge.  Raises NoPath
     when the graph offers no route (it is then disconnected), and
-    CycleCapExceeded on finding more than MAX_PATHS paths, the count
-    between two vertices of K8.
+    CycleCapExceeded when the search takes more than MAX_STEPS steps.
     """
     if i == j:
         raise ValueError("endpoints must differ")
@@ -179,23 +189,30 @@ def enumerate_paths(g, i, j):
     adj = g._adj
     path = [i]
     on_path = {i}
-
-    def extend(v):
-        for u in adj[v]:
+    walk = iter(adj[i])
+    stack = []
+    steps = 0
+    while True:
+        for u in walk:
             if u == j:
                 out.append(Path(tuple(path) + (j,)))
-                if len(out) > MAX_PATHS:
-                    raise CycleCapExceeded(
-                        "more than %d simple paths between %d and %d" % (MAX_PATHS, i, j)
-                    )
             elif u not in on_path:
+                steps += 1
+                if steps > MAX_STEPS:
+                    raise CycleCapExceeded(
+                        "simple path search between %d and %d exceeded %d steps"
+                        % (i, j, MAX_STEPS)
+                    )
                 path.append(u)
                 on_path.add(u)
-                extend(u)
-                path.pop()
-                on_path.remove(u)
-
-    extend(i)
+                stack.append(walk)
+                walk = iter(adj[u])
+                break
+        else:
+            if not stack:
+                break
+            walk = stack.pop()
+            on_path.remove(path.pop())
     if not out:
         raise NoPath("no path between %d and %d" % (i, j))
     return out

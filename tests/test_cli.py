@@ -139,14 +139,24 @@ def test_analyze_beyond_n8_path_graph(tmp_path, capsys):
         assert vals[k] == 0.0, k
 
 
-def test_analyze_diamond_chain_refused(tmp_path, capsys):
-    # twelve diamonds in series: 12 cycles, but 2^12 paths between the ends
+@pytest.mark.parametrize("diamonds", [12, 30])
+def test_analyze_diamond_chain_refused(tmp_path, capsys, diamonds):
+    # diamonds in series: one cycle each, but 2^diamonds ways through the chain
     edges = []
-    for a in range(0, 36, 3):
+    for a in range(0, 3 * diamonds, 3):
         edges += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
-    path = _write(tmp_path, "diamonds.txt", _graph_text(37, edges))
+    path = _write(tmp_path, "diamonds.txt", _graph_text(3 * diamonds + 1, edges))
     assert main(["analyze", path]) == 2
-    assert "simple paths" in capsys.readouterr().err
+    assert "exceeded 16064 steps" in capsys.readouterr().err
+
+
+def test_analyze_long_path_graph_refused(tmp_path, capsys):
+    # no cycle, but 1500 * 1499 / 2 steps to find that out, and deeper than recursion goes
+    path = _write(tmp_path, "path1500.txt", _graph_text(1500, [(i, i + 1) for i in range(1499)]))
+    assert main(["analyze", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeded 16064 steps" in captured.err
 
 
 def test_analyze_bad_alpha(tmp_path, capsys):

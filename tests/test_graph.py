@@ -14,6 +14,7 @@ from pcindex import (
     cycle_ratio,
     enumerate_cycles,
     enumerate_paths,
+    graph,
     is_irreducible,
     path_product,
 )
@@ -93,15 +94,48 @@ def test_cycle_cap():
     assert len(enumerate_cycles(build_graph(complete(8)))) == 8018
 
 
-def test_path_cap():
+def path_graph(n):
+    chain = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    return build_graph(PCMatrix(np.ones((n, n)), chain))
+
+
+def test_step_budget_is_the_k8_cycle_search(monkeypatch):
+    k8 = build_graph(complete(8))
+    assert graph.MAX_STEPS == 16064
+    monkeypatch.setattr(graph, "MAX_STEPS", 16063)
+    with pytest.raises(CycleCapExceeded):
+        enumerate_cycles(k8)
+    # the 1957 paths between two vertices of K8 take 1956 steps
+    assert len(enumerate_paths(k8, 0, 1)) == 1957
+    monkeypatch.setattr(graph, "MAX_STEPS", 1955)
+    with pytest.raises(CycleCapExceeded):
+        enumerate_paths(k8, 0, 1)
+
+
+def test_step_budget_counts_work_not_n():
     # a 9-vertex path is past n = 8 but has one path per pair and no cycle
-    chain = np.eye(9, dtype=bool) | np.eye(9, k=1, dtype=bool) | np.eye(9, k=-1, dtype=bool)
-    g = build_graph(PCMatrix(np.ones((9, 9)), chain))
+    g = path_graph(9)
     assert enumerate_cycles(g) == []
     assert [p.vertices for p in enumerate_paths(g, 0, 8)] == [tuple(range(9))]
-    assert len(enumerate_paths(build_graph(complete(8)), 0, 1)) == 1957
+    # K9's 13700 paths per pair fit the budget, K10's 109601 do not
+    assert len(enumerate_paths(build_graph(complete(9)), 0, 1)) == 13700
     with pytest.raises(CycleCapExceeded):
-        enumerate_paths(build_graph(complete(9)), 0, 1)
+        enumerate_paths(build_graph(complete(10)), 0, 1)
+    # thirty diamonds in series: 30 cycles, but about 2^30 dead ends to walk
+    diamonds = np.eye(91, dtype=bool)
+    for a in range(0, 90, 3):
+        for i, j in ((a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)):
+            diamonds[i, j] = diamonds[j, i] = True
+    with pytest.raises(CycleCapExceeded):
+        enumerate_cycles(build_graph(PCMatrix(np.ones((91, 91)), diamonds)))
+
+
+def test_searches_do_not_recurse():
+    # 1500 vertices in a row would overflow a recursive search
+    g = path_graph(1500)
+    assert [p.vertices for p in enumerate_paths(g, 0, 1499)] == [tuple(range(1500))]
+    with pytest.raises(CycleCapExceeded):
+        enumerate_cycles(g)  # 1500 * 1499 / 2 steps
 
 
 def test_path_count_complete7():
