@@ -252,35 +252,42 @@ def validate(grid):
                 )
             vals[i, j] = float(cell)
             mask[i, j] = True
-    for i in range(n):
+    bad_diag = np.flatnonzero(~mask.diagonal() | (vals.diagonal() != 1.0))
+    if bad_diag.size:
+        i = int(bad_diag[0])
         if not mask[i, i]:
             raise BadDiagonal("diagonal entry (%d,%d) is missing" % (i + 1, i + 1))
-        if vals[i, i] != 1.0:
-            raise BadDiagonal(
-                "diagonal entry (%d,%d) must be exactly 1, got %r" % (i + 1, i + 1, vals[i, i])
+        raise BadDiagonal(
+            "diagonal entry (%d,%d) must be exactly 1, got %r" % (i + 1, i + 1, vals[i, i])
+        )
+    # the diagonal and the missing cells hold 1, so only defined off-diagonal cells can fail
+    cell = _first_cell(~((vals > 0.0) & (vals < np.inf)))
+    if cell is not None:
+        raise NonPositiveEntry(*cell)
+    one_sided = mask != mask.T
+    with np.errstate(over="ignore"):
+        expected = 1.0 / vals
+    back = vals.T
+    off_by = np.abs(back - expected) > RECIPROCITY_RTOL * np.maximum(back, expected)
+    # one_sided is symmetric, so its first cell in row-major order lies above the diagonal
+    cell = _first_cell(one_sided | (off_by & ~np.tri(n, dtype=bool)))
+    if cell is not None:
+        i, j = cell
+        if one_sided[i, j]:
+            raise ReciprocityViolation(
+                i,
+                j,
+                "entries (%d,%d) and (%d,%d) must both be present or both missing"
+                % (i + 1, j + 1, j + 1, i + 1),
             )
-    for i in range(n):
-        for j in range(n):
-            if i != j and mask[i, j]:
-                x = vals[i, j]
-                if not np.isfinite(x) or x <= 0.0:
-                    raise NonPositiveEntry(i, j)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask[i, j] != mask[j, i]:
-                raise ReciprocityViolation(
-                    i,
-                    j,
-                    "entries (%d,%d) and (%d,%d) must both be present or both missing"
-                    % (i + 1, j + 1, j + 1, i + 1),
-                )
-            if mask[i, j]:
-                expected = 1.0 / vals[i, j]
-                if abs(vals[j, i] - expected) > RECIPROCITY_RTOL * max(
-                    abs(vals[j, i]), abs(expected)
-                ):
-                    raise ReciprocityViolation(i, j)
+        raise ReciprocityViolation(i, j)
     return PCMatrix(vals, mask)
+
+
+def _first_cell(bad):
+    """(i, j) of the first True cell of a square mask in row-major order, or None."""
+    hits = np.flatnonzero(bad)
+    return divmod(int(hits[0]), bad.shape[1]) if hits.size else None
 
 
 def is_complete(m):

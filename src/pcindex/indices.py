@@ -18,9 +18,14 @@ are already computed (cycle values, per-pair path extremes, residuals,
 dense column-scaled matrices), with its reductions on the last axes.
 The functions here apply the helpers to one matrix, whose inputs come
 from enumerated cycles and paths and a dense ILLS solve; ``_fast``
-applies the same helpers to a whole removal chain at once.
+applies the same helpers to a whole removal chain at once.  A cycle
+ratio or path product is taken as the sum of the log-entries ln c_ij
+along the enumerated walk, gathered by numpy indexing for many walks
+at once, so no product of raw ratios is formed along the way.
 """
 
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -29,11 +34,9 @@ from .core import NotComplete, NotIrreducible, PCError, is_complete, list_triads
 from .graph import (
     _ratio_inconsistency,
     build_graph,
-    cycle_ratio,
     enumerate_cycles,
     enumerate_paths,
     is_irreducible,
-    path_product,
 )
 from .priority import gmm, harker_rank, ills, principal_eigen
 
@@ -76,6 +79,7 @@ CLASSICAL_NAMES = ("CI", "GCI", "K", "I1", "I2", "Ialpha", "Ialphabeta", "GW", "
 
 DEFAULT_ALPHA = 0.5  # weight of the max-cycle term in the alpha blend
 DEFAULT_BETA = 0.3  # shared weight of max and mean terms in the alpha-beta blend
+_WALK_CHUNK = 1024  # walks gathered at once by _walk_logs
 
 
 class BadParams(PCError):
@@ -171,6 +175,34 @@ def _gw(v, defined, w):
     return np.abs(cstar - ostar).sum(axis=(-2, -1)) / v.shape[-1]
 
 
+def _log_entries(m):
+    """Dense n x n log-entries ln c_ij, 0 on the diagonal and where missing."""
+    return np.log(np.where(m.defined, m.values, 1.0))
+
+
+def _walk_logs(logs, walks, closed):
+    """Sum of the hop log-entries along each vertex walk (Cycle or Path).
+
+    Each chunk of walks is flattened into one vertex array and all its
+    hops' log-entries are gathered at once; chunking keeps the index
+    arrays small when there are many walks.  A closed walk adds the hop
+    from its last vertex back to its first; an open one ends on the
+    diagonal entry ln c_jj = 0.
+    """
+    out = np.empty(len(walks))
+    for k in range(0, len(walks), _WALK_CHUNK):
+        verts = list(map(attrgetter("vertices"), walks[k : k + _WALK_CHUNK]))
+        lens = np.fromiter(map(len, verts), np.intp, len(verts))
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        flat = np.fromiter(chain.from_iterable(verts), np.intp, ends[-1])
+        nxt = np.empty_like(flat)
+        nxt[:-1] = flat[1:]
+        nxt[ends - 1] = flat[starts] if closed else flat[ends - 1]
+        out[k : k + len(verts)] = np.add.reduceat(logs[flat, nxt], starts)
+    return out
+
+
 def classical_indices(m):
     """The ten reference indices of a complete matrix, as a name -> value map.
 
@@ -237,8 +269,9 @@ def cycle_based_indices(m, max_cycles=None):
     g = build_graph(m)
     if not is_irreducible(g):
         raise NotIrreducible("comparison graph is disconnected")
-    r = np.array([cycle_ratio(g, s) for s in enumerate_cycles(g, max_cycles=max_cycles)])
-    return _cycle_stats(_ratio_inconsistency(r))
+    cycles = enumerate_cycles(g, max_cycles=max_cycles)
+    log_r = _walk_logs(_log_entries(m), cycles, closed=True)
+    return _cycle_stats(_ratio_inconsistency(np.exp(log_r)))
 
 
 def sh_index_inc(m):
@@ -253,14 +286,15 @@ def sh_index_inc(m):
     if not is_irreducible(g):
         raise NotIrreducible("comparison graph is disconnected")
     n = m.n
+    logs = _log_entries(m)
     lo = []
     hi = []
     for i in range(n):
         for j in range(i + 1, n):
-            prods = [path_product(g, p) for p in enumerate_paths(g, i, j)]
-            lo.append(min(prods))
-            hi.append(max(prods))
-    return float(_sh(n, np.array(lo), np.array(hi)))
+            log_p = _walk_logs(logs, enumerate_paths(g, i, j), closed=False)
+            lo.append(log_p.min())
+            hi.append(log_p.max())
+    return float(_sh(n, np.exp(lo), np.exp(hi)))
 
 
 def least_squares_indices(m):

@@ -18,7 +18,6 @@ reduction over bases is a fixed-order sum.
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -291,6 +290,9 @@ def run_experiment(cfg, threads=1):
         for b in range(cfg.base_matrices):
             acc += _base_deltas(cfg, b)
     else:
+        # imported on demand, so that importing pcindex does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, cfg.base_matrices // (threads * 8))
         with ProcessPoolExecutor(max_workers=threads) as ex:
             for part in ex.map(partial(_base_deltas, cfg), range(cfg.base_matrices), chunksize=chunk):

@@ -53,6 +53,16 @@ SPARSE7_TEXT = """
 7 ? ? 2 4 3 1
 """
 
+# consistent, weights a^2, a, 1, 1/a with a = 1e150: the least-squares
+# residuals and the products of ratios along paths and cycles overflow floats
+HUGE4_TEXT = """
+4
+1 1e150 1e300 ?
+1e-150 1 1e150 1e300
+1e-300 1e-150 1 1e150
+? 1e-300 1e-150 1
+"""
+
 
 @pytest.fixture
 def tri3():

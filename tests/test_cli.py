@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from pcindex import cli
 from pcindex.cli import main
 from pcindex.indices import INDEX_NAMES
 from pcindex.montecarlo import DistanceTable, ExperimentConfig
-from tests.conftest import INC4_TEXT, SPARSE7_TEXT, TRI3_TEXT
+from tests.conftest import HUGE4_TEXT, INC4_TEXT, SPARSE7_TEXT, TRI3_TEXT
 
 DISCONNECTED_TEXT = """
 4
@@ -174,17 +177,6 @@ def test_analyze_bad_alpha(tmp_path, capsys):
             assert main(["analyze", path, flag, value]) == 0, (flag, value)
 
 
-# consistent, weights a^2, a, 1, 1/a with a = 1e150: the least-squares
-# residuals and the path products overflow floats
-HUGE4_TEXT = """
-4
-1 1e150 1e300 ?
-1e-150 1 1e150 1e300
-1e-300 1e-150 1 1e150
-? 1e-300 1e-150 1
-"""
-
-
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_analyze_non_finite_index_fails(tmp_path, capsys, extra):
     path = _write(tmp_path, "huge4.txt", HUGE4_TEXT)
@@ -344,3 +336,12 @@ def test_experiment_n_beyond_tables(tmp_path, capsys):
             "--out", str(tmp_path / "x")]
     assert main(args) == 5
     _no_files_and_no_traceback(tmp_path, capsys)
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only a multi-worker experiment needs the pool and multiprocessing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys; import pcindex.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

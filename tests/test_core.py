@@ -1,5 +1,7 @@
 """Matrix type, validation, and the text format."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from pcindex import (
     MatrixSyntaxError,
     NonPositiveEntry,
     NonSquare,
+    PCError,
     PCMatrix,
     ReciprocityViolation,
     Triad,
@@ -82,6 +85,98 @@ def test_validate_reciprocity_tolerance():
     assert ok[1, 0] == 1.0 / 3.0  # lower triangle is rebuilt exactly
     with pytest.raises(ReciprocityViolation):
         validate([[1, 3, 1], [1 / 3 + 1e-7, 1, 1], [1, 1, 1]])
+
+
+def _grid(n=5, **cells):
+    """A consistent n x n grid (weights 2^-i: exact reciprocals) with cells replaced.
+
+    Keys are 1-based cell names such as ``c24`` for row 2, column 4.
+    """
+    grid = [[2.0 ** (j - i) for j in range(n)] for i in range(n)]
+    for key, value in cells.items():
+        grid[int(key[1]) - 1][int(key[2]) - 1] = value
+    return grid
+
+
+_ONE_SIDED = "entries (%s) and (%s) must both be present or both missing"
+_NOT_POSITIVE = "entry (%s) must be a strictly positive finite ratio"
+
+
+@pytest.mark.parametrize(
+    "cells, cls, message",
+    [
+        # diagonal: missing, then not exactly 1, each at two positions
+        ({"c22": None}, BadDiagonal, "diagonal entry (2,2) is missing"),
+        ({"c55": MISSING, "c44": 3.0}, BadDiagonal, "diagonal entry (4,4) must be exactly 1, got"),
+        ({"c11": 2.0}, BadDiagonal, "diagonal entry (1,1) must be exactly 1, got"),
+        # positivity, upper and lower triangle; the first cell in row-major order wins
+        ({"c13": -4.0}, NonPositiveEntry, _NOT_POSITIVE % "1,3"),
+        ({"c52": 0.0, "c43": np.nan}, NonPositiveEntry, _NOT_POSITIVE % "4,3"),
+        ({"c32": np.inf, "c24": -np.inf}, NonPositiveEntry, _NOT_POSITIVE % "2,4"),
+        # reciprocity: a value mismatch, then a pair defined on one side only
+        ({"c42": 3.0}, ReciprocityViolation, "entries (2,4) and (4,2) are not reciprocal"),
+        ({"c35": 5.0, "c53": 0.5}, ReciprocityViolation, "entries (3,5) and (5,3) are not reciprocal"),
+        ({"c15": None}, ReciprocityViolation, _ONE_SIDED % ("1,5", "5,1")),
+        ({"c43": None}, ReciprocityViolation, _ONE_SIDED % ("3,4", "4,3")),
+        # mismatch and one-sided pair together: the first pair in row-major order wins
+        ({"c54": None, "c41": 3.0}, ReciprocityViolation, "entries (1,4) and (4,1) are not reciprocal"),
+        ({"c25": None, "c43": 3.0}, ReciprocityViolation, _ONE_SIDED % ("2,5", "5,2")),
+        # cells bad for two checks: the earlier check reports them
+        ({"c33": -1.0}, BadDiagonal, "diagonal entry (3,3) must be exactly 1, got"),
+        ({"c23": -3.0}, NonPositiveEntry, _NOT_POSITIVE % "2,3"),
+        ({"c42": np.inf, "c24": None}, NonPositiveEntry, _NOT_POSITIVE % "4,2"),
+    ],
+)
+def test_validate_reports_first_bad_cell(cells, cls, message):
+    with pytest.raises(PCError) as exc:
+        validate(_grid(**cells))
+    assert type(exc.value) is cls
+    assert str(exc.value).startswith(message)
+    if cls is not BadDiagonal:
+        assert "(%d,%d)" % (exc.value.i + 1, exc.value.j + 1) in message
+    validate(_grid())
+
+
+def _first_violation_by_loops(grid):
+    """(class, message) of the first bad cell by the diagonal, positivity and reciprocity loops."""
+    n = len(grid)
+    for i in range(n):
+        if grid[i][i] is None:
+            return BadDiagonal, "diagonal entry (%d,%d) is missing" % (i + 1, i + 1)
+        if grid[i][i] != 1.0:
+            return BadDiagonal, "diagonal entry (%d,%d) must be exactly 1" % (i + 1, i + 1)
+    for i in range(n):
+        for j in range(n):
+            x = grid[i][j]
+            if i != j and x is not None and not (math.isfinite(x) and x > 0.0):
+                return NonPositiveEntry, _NOT_POSITIVE % ("%d,%d" % (i + 1, j + 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = grid[i][j], grid[j][i]
+            cells = (i + 1, j + 1, j + 1, i + 1)
+            if (a is None) != (b is None):
+                return ReciprocityViolation, _ONE_SIDED % ("%d,%d" % cells[:2], "%d,%d" % cells[2:])
+            if a is not None and abs(b - 1.0 / a) > 1e-12 * max(abs(b), abs(1.0 / a)):
+                return ReciprocityViolation, "entries (%d,%d) and (%d,%d) are not reciprocal" % cells
+    return None, None
+
+
+def test_validate_matches_loops_on_random_grids():
+    rng = np.random.default_rng(41)
+    bad = [None, -1.0, 0.0, np.nan, np.inf, -np.inf, 3.0, 1.0, 0.5, 1e-300]
+    for _ in range(400):
+        n = int(rng.integers(3, 7))
+        grid = _grid(n)
+        for _ in range(int(rng.integers(0, 4))):
+            grid[int(rng.integers(n))][int(rng.integers(n))] = bad[int(rng.integers(len(bad)))]
+        cls, message = _first_violation_by_loops(grid)
+        if cls is None:
+            validate(grid)
+            continue
+        with pytest.raises(PCError) as exc:
+            validate(grid)
+        assert type(exc.value) is cls
+        assert str(exc.value).startswith(message)
 
 
 def test_validate_does_not_mutate():

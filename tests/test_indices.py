@@ -34,10 +34,11 @@ from pcindex import (
     ills,
     least_squares_indices,
     oliva_index,
+    parse_matrix,
     remove_comparisons,
     sh_index_inc,
 )
-from tests.conftest import random_complete
+from tests.conftest import HUGE4_TEXT, random_complete
 
 LN2 = math.log(2.0)
 # frozen hand oracles for the 3x3 fixture [[1,2,12],[1/2,1,3],[1/12,1/3,1]]
@@ -144,22 +145,43 @@ def test_cycle_based_tri3(tri3):
     assert (c.ktilde, c.i1, c.i2) == (0.5, 0.5, 0.5)
 
 
+def _walk_cases(sparse7):
+    """sparse7, a complete 8x8, and a 7x7 ring with chords whose cycles have every length 3..7."""
+    rng = np.random.default_rng(29)
+    full8 = random_complete(rng, 8)
+    ring = np.eye(7, dtype=bool)
+    for i, j in [(k, (k + 1) % 7) for k in range(7)] + [(0, 2), (0, 3)]:
+        ring[i, j] = ring[j, i] = True
+    ring7 = PCMatrix(np.where(ring, random_complete(rng, 7).values, 1.0), ring)
+    return [sparse7, full8, ring7]
+
+
 def test_cycle_based_longhand(sparse7):
-    g = build_graph(sparse7)
-    ks = []
-    for cyc in enumerate_cycles(g):
-        vs = list(cyc.vertices) + [cyc.vertices[0]]
-        r = 1.0
-        for a, b in zip(vs, vs[1:]):
-            r *= sparse7[a, b]
-        ks.append(min(abs(1 - r), abs(1 - 1 / r)))
-    got = cycle_based_indices(sparse7)
-    assert got.ktilde == pytest.approx(max(ks), rel=1e-12)
-    assert got.i1 == pytest.approx(sum(ks) / len(ks), rel=1e-12)
-    assert got.i2 == pytest.approx(
-        math.sqrt(sum(x * x for x in ks)) / len(ks), rel=1e-12
-    )
-    assert got.ktilde >= 19.0 / 21.0 - 1e-12
+    lengths = []
+    for m in _walk_cases(sparse7):
+        g = build_graph(m)
+        cycles = enumerate_cycles(g)
+        lengths.append({len(c.vertices) for c in cycles})
+        ks = []
+        for cyc in cycles:
+            vs = list(cyc.vertices) + [cyc.vertices[0]]
+            r = 1.0
+            for a, b in zip(vs, vs[1:]):
+                r *= m[a, b]
+            ks.append(min(abs(1 - r), abs(1 - 1 / r)))
+        got = cycle_based_indices(m)
+        assert got.ktilde == pytest.approx(max(ks), rel=1e-12)
+        assert got.i1 == pytest.approx(sum(ks) / len(ks), rel=1e-12)
+        assert got.i2 == pytest.approx(
+            math.sqrt(sum(x * x for x in ks)) / len(ks), rel=1e-12
+        )
+    assert lengths[1:] == [set(range(3, 9)), set(range(3, 8))]
+    assert cycle_based_indices(sparse7).ktilde >= 19.0 / 21.0 - 1e-12
+
+
+def test_cycle_based_huge_consistent_is_zero():
+    # the cycle products overflow, their sums of log-entries do not
+    assert cycle_based_indices(parse_matrix(HUGE4_TEXT)) == (0.0, 0.0, 0.0)
 
 
 def test_cycle_based_tree_is_zero():
@@ -217,7 +239,7 @@ def test_sh_inc_tri3_equals_classical(tri3):
 def test_sh_inc_longhand(inc4, sparse7):
     from pcindex import enumerate_paths, path_product
 
-    for m in (inc4, sparse7):
+    for m in [inc4] + _walk_cases(sparse7):
         g = build_graph(m)
         total = 0.0
         for i in range(m.n):
