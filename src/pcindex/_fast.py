@@ -10,23 +10,27 @@ log-entries (upper triangle, lexicographic slot order) plus boolean
 masks saying which comparisons are still present, and a whole removal
 chain is evaluated with array arithmetic.
 
-The tables are built by the ordinary public enumerators on a dummy
-complete matrix, so the fast path cannot drift combinatorially from
-what the reference functions would produce; the numeric agreement is
-pinned separately by tests that run both routes on the same stream.
+The tables are built by a level-synchronous numpy frontier over the
+complete graph (``_frontier``): no walk becomes a Python object, and the
+cycle search of K_n takes exactly the steps the depth-first
+``graph.enumerate_cycles`` would, under the same budget.  The
+depth-first enumerators are not called here; they are the independent
+oracle, and a test asserts that the tables list exactly their cycles and
+paths, in their order, for n = 3..8.  The numeric agreement with the
+reference route is pinned separately by tests that run both routes on
+the same stream.
 Each closed form (cycle statistics, SH, the residual family, GW) is the
 private helper in ``indices`` that the reference functions call too,
 applied here to all mask rows at once.
 """
 
 import functools
-import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import PCMatrix
-from .graph import _ratio_inconsistency, build_graph, enumerate_cycles, enumerate_paths
+from .graph import MAX_STEPS, CycleCapExceeded, _ratio_inconsistency
 from .indices import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -78,9 +82,12 @@ class Tables(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def get_tables(n):
-    """Build (or fetch cached) tables for size n using the public enumerators."""
-    g = build_graph(PCMatrix(np.ones((n, n))))
-    pairs = g.edges  # complete graph: all (i, j), i < j, lexicographic
+    """Build (or fetch cached) tables for size n from the numpy frontier over K_n.
+
+    Raises CycleCapExceeded when the cycle search of K_n takes more than
+    ``graph.MAX_STEPS`` steps, that is for n > 8, before building any path.
+    """
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     ecount = len(pairs)
     iu = np.array([p[0] for p in pairs])
     ju = np.array([p[1] for p in pairs])
@@ -97,33 +104,26 @@ def get_tables(n):
     sign_of[iu, ju] = 1.0
     sign_of[ju, iu] = -1.0
 
-    def hop_table(walks, width):
-        """Slot ids (width x walks), dense signed rows and need words of the walks."""
-        count = len(walks)
-        flat = itertools.chain.from_iterable(w + (n,) * (width + 1 - len(w)) for w in walks)
-        v = np.fromiter(flat, dtype=np.intp, count=count * (width + 1)).reshape(count, width + 1).T
+    def hop_table(walks):
+        """Slot ids (width x walks), dense signed rows and need words of padded vertex walks."""
+        v = walks.T
         ids = np.ascontiguousarray(slot_of[v[:-1], v[1:]])
         used = ids < ecount
-        obj = np.broadcast_to(np.arange(count), ids.shape)[used]
-        rows = np.zeros((count, ecount))
+        obj = np.broadcast_to(np.arange(len(walks)), ids.shape)[used]
+        rows = np.zeros((len(walks), ecount))
         rows[obj, ids[used]] = sign_of[v[:-1], v[1:]][used]
         bits = np.where(used, np.uint64(1) << ids.astype(np.uint64), np.uint64(0))
         return ids, rows, np.bitwise_or.reduce(bits, axis=0)
 
-    cycles = [c.vertices + c.vertices[:1] for c in enumerate_cycles(g)]
-    cyc_slots, cyc_rows, cyc_need = hop_table(cycles, n)
-
-    paths = []
-    starts = []
-    for i, j in pairs:
-        starts.append(len(paths))
-        paths.extend(p.vertices for p in enumerate_paths(g, i, j))
-    path_slots, path_rows, path_need = hop_table(paths, n - 1)
-    path_pair = np.repeat(np.arange(ecount, dtype=slot_type), np.diff(starts + [len(paths)]))
+    cyc_slots, cyc_rows, cyc_need = hop_table(_cycle_walks(n))
+    paths, ends = _path_walks(n)
+    path_slots, path_rows, path_need = hop_table(paths)
+    path_pair = slot_of[paths[:, 0], ends]
+    path_starts = np.searchsorted(path_pair, np.arange(ecount))
 
     return Tables(
         n,
-        tuple(pairs),
+        pairs,
         iu,
         ju,
         binc,
@@ -131,11 +131,92 @@ def get_tables(n):
         cyc_need,
         path_rows,
         path_need,
-        np.array(starts, dtype=np.intp),
+        path_starts,
         cyc_slots,
         path_slots,
         path_pair,
     )
+
+
+def _frontier(n, roots, above, max_steps=math.inf):
+    """The simple walks of K_n from each root, one level (hop count) at a time.
+
+    Yields, for k = 1 .. n - 1, a (walks, k + 1) array of the vertex
+    sequences of every k-hop walk that starts at a root and visits no
+    vertex twice; with ``above`` a walk visits only vertices above its
+    root.  Each level extends every walk of the last one by every vertex
+    it has not visited, found with one gather of the walks' visited
+    bitmasks and ``np.nonzero``, so the children of a walk follow in
+    vertex order.  The walks past the roots are the steps the depth-first
+    cycle search takes; once their count passes ``max_steps`` the search
+    raises CycleCapExceeded, before that level is built.
+    """
+    vertex = np.arange(n)
+    bit = np.left_shift(1, vertex)
+    walks = np.array(roots, dtype=np.min_scalar_type(n))[:, None]
+    seen = bit[walks[:, 0]]
+    steps = 0
+    for k in range(1, n):
+        free = (seen[:, None] & bit) == 0
+        if above:
+            free &= vertex > walks[:, :1]
+        steps += np.count_nonzero(free)
+        if steps > max_steps:
+            raise CycleCapExceeded("cycle search exceeded %d steps" % max_steps)
+        parent, u = np.nonzero(free)
+        grown = np.empty((len(u), k + 1), dtype=walks.dtype)
+        grown[:, :k] = walks[parent]
+        grown[:, k] = u
+        walks = grown
+        seen = seen[parent] | bit[u]
+        yield walks
+
+
+def _cycle_walks(n):
+    """The canonical simple cycles of K_n as closed walks padded with n, in DFS order.
+
+    A cycle starts at its least vertex and closes where its second
+    vertex is below its last.  Each row holds the cycle's vertices, its
+    start again and then the padding, so where a cycle is a prefix of
+    another it has its start, the least vertex, where the other goes on:
+    sorting the rows puts every cycle before its extensions, as
+    ``enumerate_cycles`` lists them.
+    """
+    out = []
+    for walks in _frontier(n, range(n), above=True, max_steps=MAX_STEPS):
+        k = walks.shape[1]
+        shut = walks[walks[:, 1] < walks[:, -1]]
+        v = np.full((len(shut), n + 1), n, dtype=walks.dtype)
+        v[:, :k] = shut
+        v[:, k] = shut[:, 0]
+        out.append(v)
+    v = np.concatenate(out)
+    return v[np.lexsort(v.T[::-1])]
+
+
+def _path_walks(n):
+    """The simple paths of K_n between pairs i < j, padded with n, in DFS order, and their ends.
+
+    One frontier from every start i covers every end j above it: each
+    walk that ends above its start is a path.  The rows are sorted by
+    start, end and vertex sequence, that is by pair in slot order and
+    within a pair as ``enumerate_paths`` lists them.  The search has no
+    budget of its own; ``get_tables`` builds the cycles first, and their
+    budget already refuses every n > 8.
+    """
+    out = []
+    ends = []
+    for walks in _frontier(n, range(n - 1), above=False):
+        k = walks.shape[1]
+        done = walks[walks[:, -1] > walks[:, 0]]
+        v = np.full((len(done), n), n, dtype=walks.dtype)
+        v[:, :k] = done
+        out.append(v)
+        ends.append(done[:, -1])
+    v = np.concatenate(out)
+    end = np.concatenate(ends)
+    order = np.lexsort((*v.T[:0:-1], end, v[:, 0]))
+    return v[order], end[order]
 
 
 def consistent_logvals(t, logw):

@@ -148,7 +148,8 @@ def _residual_indices(n, logs, fit, defined):
     x_i - x_j and ``defined`` marks the slots present; the residual is
     ln c_ij - (x_i - x_j) on those, and a missing slot adds its fit^2 to
     RE1's denominator.  A zero RE denominator means every defined
-    log-entry is 0, so every residual is 0 too and the value is 0.
+    log-entry is 0, so every residual is 0 too and the value is 0; a NaN
+    one is divided through, so the value stays NaN.
     """
     s = np.where(defined, (logs - fit) ** 2, 0.0).sum(axis=-1)
     energy = np.where(defined, logs**2, 0.0).sum(axis=-1)
@@ -156,8 +157,8 @@ def _residual_indices(n, logs, fit, defined):
     return (
         2.0 * s / ((n - 1) * (n - 2)),
         s / defined.sum(axis=-1),
-        np.divide(s, total, out=np.zeros_like(s), where=total > 0.0),
-        np.divide(s, energy, out=np.zeros_like(s), where=energy > 0.0),
+        np.divide(s, total, out=np.zeros_like(s), where=total != 0.0),
+        np.divide(s, energy, out=np.zeros_like(s), where=energy != 0.0),
         2.0 * s,
     )
 
@@ -311,13 +312,13 @@ def least_squares_indices(m):
     and RE2 equal their classical counterparts.  Nothing is enumerated,
     so any n works.
     """
-    w = ills(m)
+    x = ills(m, log=True)
     iu = np.triu_indices(m.n, 1)
-    x = np.log(w)
     gci1, gci2, re1, re2, lls = _residual_indices(
         m.n, np.log(m.values[iu]), x[iu[0]] - x[iu[1]], m.defined[iu]
     )
-    gw = _gw(np.where(m.defined, m.values, 0.0), m.defined, w)
+    # GW scales the weights per column, so they need no normalization
+    gw = _gw(np.where(m.defined, m.values, 0.0), m.defined, np.exp(x - x.max()))
     return {
         "GCI1": float(gci1),
         "GCI2": float(gci2),

@@ -134,17 +134,19 @@ def harker_rank(m):
     return principal_eigen(harker_matrix(m))
 
 
-def ills(m):
+def ills(m, log=False):
     """Incomplete logarithmic least-squares priorities.
 
     Minimizes sum over defined i != j of (ln c_ij - x_i + x_j)^2 in the
     log-weights x, which yields the graph-Laplacian normal equations
     L x = g with L = degrees - adjacency over defined pairs and
     g_i = sum of ln c_ij over row i's defined entries.  The solution is
-    anchored at x_1 = 0 by eliminating the first row and column, then
-    exponentiated and normalized.  On a complete matrix this is exactly
-    the geometric-mean vector; on a consistent matrix it reproduces
-    every defined ratio.
+    anchored at x_1 = 0 by eliminating the first row and column.  With
+    ``log`` that x is returned as it is, so a caller that needs the fitted
+    log-ratios x_i - x_j never takes the log of an underflowed weight;
+    otherwise the weights exp(x - max x) are normalized to sum 1.  On a
+    complete matrix this is exactly the geometric-mean vector; on a
+    consistent matrix it reproduces every defined ratio.
     """
     if not is_irreducible(build_graph(m)):
         raise NotIrreducible("comparison graph is disconnected")
@@ -161,5 +163,7 @@ def ills(m):
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
     x = np.concatenate(([0.0], x_rest))
-    w = np.exp(x)
+    if log:
+        return x
+    w = np.exp(x - x.max())
     return w / w.sum()

@@ -184,7 +184,8 @@ def test_analyze_non_finite_index_fails(tmp_path, capsys, extra):
         assert main(["analyze", path] + extra) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: non-finite index value(s): SH, GCI1")
+    # SH still overflows there; the least-squares family is finite
+    assert captured.err == "error: non-finite index value(s): SH\n"
 
 
 def test_analyze_disconnected(tmp_path, capsys):

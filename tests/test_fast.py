@@ -1,0 +1,98 @@
+"""The experiment's per-n tables: built by a numpy frontier over K_n, and
+checked against the depth-first enumerators of ``graph``, which serve as
+the independent oracle of the table route."""
+
+import hashlib
+import time
+
+import numpy as np
+import pytest
+
+from pcindex import _fast, graph
+from pcindex.core import PCMatrix
+from pcindex.graph import (
+    MAX_STEPS,
+    CycleCapExceeded,
+    build_graph,
+    enumerate_cycles,
+    enumerate_paths,
+)
+
+# SHA-256 over every Tables field (see _digest), taken from the tables the
+# depth-first enumerators built
+TABLE_SHA256 = {
+    3: "de8c97429017843060323296c222dc16654c9bd9004195be9db10fd02bface59",
+    4: "954683bc0819f4cfe308be1370b6c56aca8c319faf36699a5c69abb82350127b",
+    5: "50743a299be9bf59c1c7d3d5bd3e2f2f2219006a8a15a1c0348d771bbf462f16",
+    6: "f98f379106de7e79f6efe645c829fa10f4086a5c1fdda81709095be8094ce9e2",
+    7: "66acff5a3434d0b2b348dde07fdb0a91c65467b5aae2aeeebe791b5cea548893",
+    8: "9b4e59726d69cd194fa51b24a72ac8e745f9917df18d44460a9c1df94da9dd27",
+}
+
+
+def _digest(t):
+    """SHA-256 over each field's name, then its dtype, shape and bytes (or repr)."""
+    h = hashlib.sha256()
+    for name, v in zip(t._fields, t):
+        h.update(name.encode())
+        if isinstance(v, np.ndarray):
+            h.update(("%s%s" % (v.dtype.str, v.shape)).encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        else:
+            h.update(repr(v).encode())
+    return h.hexdigest()
+
+
+def _walks(t, slots, rows):
+    """Vertex tuples of the table's walks, read back from each hop's slot and sign."""
+    out = []
+    for ids, signs in zip(slots.T.tolist(), rows):
+        hops = [t.pairs[s] if signs[s] > 0 else t.pairs[s][::-1] for s in ids if s < len(t.pairs)]
+        assert all(b == a for (_, b), (a, _) in zip(hops, hops[1:]))
+        out.append(hops[0][:1] + tuple(b for _, b in hops))
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_tables_equal_the_depth_first_enumerators(n):
+    t = _fast.get_tables(n)
+    g = build_graph(PCMatrix(np.ones((n, n))))
+    assert t.pairs == g.edges
+    cycles = [c.vertices + c.vertices[:1] for c in enumerate_cycles(g)]
+    assert _walks(t, t.cyc_slots, t.cyc_rows) == cycles
+    paths = [[p.vertices for p in enumerate_paths(g, i, j)] for i, j in t.pairs]
+    assert t.path_starts.tolist() == np.cumsum([0] + [len(p) for p in paths[:-1]]).tolist()
+    assert t.path_pair.tolist() == [s for s, p in enumerate(paths) for _ in p]
+    assert _walks(t, t.path_slots, t.path_rows) == [v for p in paths for v in p]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_tables_hold_their_pinned_bytes(n):
+    assert _digest(_fast.get_tables(n)) == TABLE_SHA256[n]
+
+
+def test_tables_build_without_the_enumerators(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table route called a depth-first enumerator")
+
+    # patched in _fast too, where a ``from .graph import`` would have bound them
+    for module in (graph, _fast):
+        for name in ("enumerate_cycles", "enumerate_paths"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    _fast.get_tables.cache_clear()
+    for n in range(3, 9):
+        assert _digest(_fast.get_tables(n)) == TABLE_SHA256[n]
+
+
+def test_frontier_takes_the_cycle_search_steps_of_k8():
+    # K8's cycle search takes exactly MAX_STEPS steps
+    assert sum(1 for _ in _fast._frontier(8, range(8), above=True, max_steps=MAX_STEPS)) == 7
+    with pytest.raises(CycleCapExceeded, match="cycle search exceeded %d steps" % (MAX_STEPS - 1)):
+        list(_fast._frontier(8, range(8), above=True, max_steps=MAX_STEPS - 1))
+
+
+def test_k9_tables_exceed_the_budget_quickly():
+    start = time.perf_counter()
+    with pytest.raises(CycleCapExceeded, match="cycle search exceeded %d steps" % MAX_STEPS):
+        _fast.get_tables(9)
+    assert time.perf_counter() - start < 1.0

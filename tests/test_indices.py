@@ -184,6 +184,17 @@ def test_cycle_based_huge_consistent_is_zero():
     assert cycle_based_indices(parse_matrix(HUGE4_TEXT)) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+def test_least_squares_huge_consistent_is_zero(transpose):
+    # the weights span 1e-450..1; the fit comes from the log-weights, not their exp
+    m = parse_matrix(HUGE4_TEXT)
+    if transpose:
+        m = PCMatrix(m.values.T, m.defined.T)
+    vals = least_squares_indices(m)
+    for name in ("GCI1", "GCI2", "RE1", "RE2", "LLS"):
+        assert 0.0 <= vals[name] < 1e-20, name
+
+
 def test_cycle_based_tree_is_zero():
     rng = np.random.default_rng(8)
     tree = remove_comparisons(random_complete(rng, 6), 10, rng)

@@ -17,10 +17,11 @@ from pcindex import (
     harker_matrix,
     harker_rank,
     ills,
+    parse_matrix,
     principal_eigen,
     remove_comparisons,
 )
-from tests.conftest import random_complete
+from tests.conftest import HUGE4_TEXT, random_complete
 
 # closed-form principal pair of the 3x3 fixture: lambda = 1 + 2^(1/3) + 2^(-1/3),
 # weights proportional to (24^(1/3), (3/2)^(1/3), (1/36)^(1/3))
@@ -168,6 +169,15 @@ def test_ills_tree_reproduces_edges():
         for j in range(7):
             if i != j and d[i, j]:
                 assert w[i] / w[j] == pytest.approx(v[i, j], rel=1e-9)
+
+
+def test_ills_huge_weights_do_not_overflow():
+    # log-weights 0, 345, 691, 1036: exp(x) alone overflows the largest
+    m = parse_matrix(HUGE4_TEXT)
+    w = ills(PCMatrix(m.values.T, m.defined.T))
+    assert np.isfinite(w).all()
+    assert w.sum() == pytest.approx(1.0, rel=1e-15)
+    assert w[-1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_ills_singular_system_translation(monkeypatch, inc4):
