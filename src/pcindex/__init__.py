@@ -27,12 +27,9 @@ from .graph import (
     NoPath,
     Path,
     build_graph,
-    cycle_inconsistency,
-    cycle_ratio,
     enumerate_cycles,
     enumerate_paths,
     is_irreducible,
-    path_product,
 )
 from .priority import (
     EigenResult,

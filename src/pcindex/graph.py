@@ -1,10 +1,11 @@
 """Graph view of a PC matrix: connectivity, simple cycles, simple paths.
 
-Every defined comparison {i, j} is one undirected edge carrying the two
-labels c_ij and c_ji = 1/c_ij.  A ranking is derivable exactly when this
-graph is connected (the matrix is then called irreducible).  Cycles are
-the carriers of inconsistency: the product of labels around a simple
-cycle equals 1 iff the judgments along it are mutually consistent.
+Every defined comparison {i, j} is one undirected edge; its labels
+c_ij and c_ji = 1/c_ij stay in the matrix.  A ranking is derivable
+exactly when this graph is connected (the matrix is then called
+irreducible).  Cycles are the carriers of inconsistency: the product of
+labels around a simple cycle equals 1 iff the judgments along it are
+mutually consistent.
 """
 
 import math
@@ -24,9 +25,6 @@ __all__ = [
     "is_irreducible",
     "enumerate_cycles",
     "enumerate_paths",
-    "cycle_ratio",
-    "cycle_inconsistency",
-    "path_product",
 ]
 
 # The largest n the experiment tabulates.
@@ -64,12 +62,10 @@ class Path(NamedTuple):
 
 
 class ComparisonGraph:
-    """Undirected labeled view of a PC matrix (one edge per defined pair)."""
+    """Undirected view of a PC matrix (one edge per defined pair)."""
 
-    def __init__(self, n, values, defined):
+    def __init__(self, n, defined):
         self.n = n
-        self._values = values
-        self._defined = defined
         edges = []
         adj = [[] for _ in range(n)]
         for i in range(n):
@@ -84,19 +80,13 @@ class ComparisonGraph:
     def neighbors(self, i):
         return self._adj[i]
 
-    def label(self, i, j):
-        """The ratio c_ij for a defined ordered pair; KeyError otherwise."""
-        if i == j or not self._defined[i, j]:
-            raise KeyError("no comparison between %d and %d" % (i, j))
-        return float(self._values[i, j])
-
     def __repr__(self):
         return "ComparisonGraph(n=%d, edges=%d)" % (self.n, len(self.edges))
 
 
 def build_graph(m):
     """ComparisonGraph of a PCMatrix; edges are its defined pairs."""
-    return ComparisonGraph(m.n, m.values, m.defined)
+    return ComparisonGraph(m.n, m.defined)
 
 
 def is_irreducible(g):
@@ -218,32 +208,6 @@ def enumerate_paths(g, i, j):
     return out
 
 
-def cycle_ratio(g, s):
-    """Product of labels along the cycle divided by the closing label.
-
-    Equals 1 exactly when the judgments along the cycle agree with the
-    direct judgment between its endpoints.  Reversing the cycle maps the
-    ratio to its reciprocal; rotations of the same cyclic sequence give
-    the same value for reciprocal labels.
-    """
-    v = s.vertices
-    return path_product(g, s) / g.label(v[0], v[-1])
-
-
-def cycle_inconsistency(g, s):
-    """min(|1 - R|, |1 - 1/R|) for the cycle ratio R; in [0, 1)."""
-    return float(_ratio_inconsistency(cycle_ratio(g, s)))
-
-
 def _ratio_inconsistency(r):
     """min(|1 - r|, |1 - 1/r|), elementwise over ratios r > 0."""
     return np.minimum(np.abs(1.0 - r), np.abs(1.0 - 1.0 / r))
-
-
-def path_product(g, p):
-    """Product of labels along a path (the induced indirect comparison)."""
-    v = p.vertices
-    r = 1.0
-    for a, b in zip(v, v[1:]):
-        r *= g.label(a, b)
-    return r

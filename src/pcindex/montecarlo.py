@@ -150,54 +150,76 @@ def disturb(m, d, rng):
 
 
 def _bridges(n, adj):
-    """Bridge edges of a connected undirected graph as a set of (min, max) pairs.
+    """Bridge edges of a connected graph as a set of (min, max) pairs.
 
-    Standard lowlink DFS, iterative so it never hits recursion limits.
-    ``adj`` is indexable by vertex and yields neighbor iterables.
+    ``adj[v]`` is the neighbour bitmask of vertex v.  A BFS tree from
+    vertex 0, then one pass in reverse BFS order: each vertex hands its
+    parent its subtree mask and the OR of its subtree's neighbour masks.
+    The tree edge (x, p) is a bridge iff it is the only edge leaving x's
+    subtree, that is iff p is the subtree's only outside neighbour: a
+    BFS edge joins depths at most one apart, so no vertex below x can
+    touch p.  A non-tree edge closes a cycle with the tree, so it is
+    never a bridge.  O(n) integer operations, no recursion.
     """
-    disc = [-1] * n
-    low = [0] * n
+    parent = [0] * n
+    order = [0]
+    seen = 1
+    for v in order:
+        new = adj[v] & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            u = low.bit_length() - 1
+            parent[u] = v
+            order.append(u)
+            new ^= low
+    sub = [1 << v for v in range(n)]
+    reach = list(adj)  # becomes the OR of the neighbour masks over x's subtree
     found = set()
-    disc[0] = low[0] = 0
-    timer = 1
-    stack = [(0, -1, iter(adj[0]))]
-    while stack:
-        v, parent, neigh = stack[-1]
-        descended = False
-        for u in neigh:
-            if u == parent:
-                continue
-            if disc[u] == -1:
-                disc[u] = low[u] = timer
-                timer += 1
-                stack.append((u, v, iter(adj[u])))
-                descended = True
-                break
-            low[v] = min(low[v], disc[u])
-        if not descended:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] > disc[p]:
-                    found.add((min(p, v), max(p, v)))
+    for x in reversed(order[1:]):
+        p = parent[x]
+        if reach[x] & ~sub[x] == 1 << p:
+            found.add((p, x) if p < x else (x, p))
+        sub[p] |= sub[x]
+        reach[p] |= reach[x]
     return found
 
 
-def _chain_step(n, pairs, alive, rng):
-    """Slot of the next comparison to drop: uniform over non-bridge live edges.
+def _chain_step(bit_of, adj, live, rng):
+    """Slot of the next comparison to drop: uniform over the live non-bridges.
 
+    ``live`` has bit s set while slot s is defined, ``adj`` holds the
+    same graph as neighbour bitmasks and ``bit_of`` maps a pair to its
+    slot bit.  One bridge search; then, with c live non-bridges, the
+    draw i = rng.integers(c) picks the i-th of them in slot order.
     Shared by the public removal operation and the fast experiment path
     so both consume the random stream identically.
     """
-    adj = [[] for _ in range(n)]
-    for s, (a, b) in enumerate(pairs):
-        if alive[s]:
-            adj[a].append(b)
-            adj[b].append(a)
-    bridges = _bridges(n, adj)
-    cands = [s for s, p in enumerate(pairs) if alive[s] and p not in bridges]
-    return cands[int(rng.integers(len(cands)))]
+    cands = live
+    for e in _bridges(len(adj), adj):
+        cands &= ~bit_of[e]
+    i = int(rng.integers(cands.bit_count()))
+    for _ in range(i):
+        cands &= cands - 1
+    return (cands & -cands).bit_length() - 1
+
+
+def _drop(pairs, bit_of, adj, live, k, rng):
+    """Slots of k successive removals from the graph (adj, live), in draw order; updates adj."""
+    order = []
+    for _ in range(k):
+        s = _chain_step(bit_of, adj, live, rng)
+        a, b = pairs[s]
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+        live ^= 1 << s
+        order.append(s)
+    return order
+
+
+def _slot_bits(pairs):
+    """Pair -> bit of its slot, the ``bit_of`` map of ``_chain_step``."""
+    return {p: 1 << s for s, p in enumerate(pairs)}
 
 
 def remove_comparisons(m, k, rng):
@@ -209,17 +231,18 @@ def remove_comparisons(m, k, rng):
     """
     n = m.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    alive = np.array([m.defined[i, j] for i, j in pairs])
-    spare = int(alive.sum()) - (n - 1)
+    alive = [s for s, (i, j) in enumerate(pairs) if m.defined[i, j]]
+    spare = len(alive) - (n - 1)
     if not isinstance(k, (int, np.integer)) or k < 0 or k > spare:
         raise BadK("k must lie in 0..%d for this matrix, got %r" % (max(spare, 0), k))
     if not is_irreducible(build_graph(m)):
         raise NotIrreducible("comparison graph is disconnected")
-    for _ in range(k):
-        alive[_chain_step(n, pairs, alive, rng)] = False
-    defined = np.ones((n, n), dtype=bool)
-    for s, (i, j) in enumerate(pairs):
-        defined[i, j] = defined[j, i] = alive[s]
+    adj = [sum(1 << u for u in range(n) if u != v and m.defined[v, u]) for v in range(n)]
+    live = sum(1 << s for s in alive)
+    defined = m.defined.copy()
+    for s in _drop(pairs, _slot_bits(pairs), adj, live, k, rng):
+        i, j = pairs[s]
+        defined[i, j] = defined[j, i] = False
     return PCMatrix(m.values.copy(), defined)
 
 
@@ -227,13 +250,20 @@ def _chain_masks(n, pairs, removals_max, rng, independent):
     """Mask rows for k = 0..removals_max removals (nested chain by default).
 
     Row k drops one comparison from row k-1; with ``independent`` it
-    drops k comparisons from the complete row 0 instead.
+    drops k comparisons from the complete row 0 instead.  The removals
+    run on bitmasks (``_chain_step``) from K_n, once or afresh for every
+    k, and the boolean rows are written from the slots they drop.
     """
+    bit_of = _slot_bits(pairs)
+    kn = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    full = (1 << len(pairs)) - 1
     rows = np.ones((removals_max + 1, len(pairs)), dtype=bool)
-    for k in range(1, removals_max + 1):
-        rows[k] = rows[0 if independent else k - 1]
-        for _ in range(k if independent else 1):
-            rows[k, _chain_step(n, pairs, rows[k], rng)] = False
+    if independent:
+        for k in range(1, removals_max + 1):
+            rows[k, _drop(pairs, bit_of, list(kn), full, k, rng)] = False
+    else:
+        for k, s in enumerate(_drop(pairs, bit_of, kn, full, removals_max, rng), 1):
+            rows[k:, s] = False
     return rows
 
 

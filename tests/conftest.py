@@ -1,9 +1,11 @@
-"""Shared fixtures: small hand matrices and brute-force reference enumerators.
+"""Shared fixtures: small hand matrices, brute-force reference enumerators
+and longhand cycle and path products.
 
 The brute-force helpers here deliberately do NOT reuse the library's
 graph code: they generate candidate vertex sequences by raw
 permutation filtering, so the production enumerators are checked
-against an independent route.
+against an independent route.  The longhand products multiply raw
+entries hop by hop, where the library sums log-entries.
 """
 
 from itertools import combinations, permutations
@@ -146,3 +148,36 @@ def brute_paths(n, defined, i, j):
             if all(defined[a, b] for a, b in zip(seq, seq[1:])):
                 out.add(seq)
     return out
+
+
+def label(m, i, j):
+    """The ratio c_ij for a defined ordered pair; KeyError otherwise."""
+    if i == j or not m.defined[i, j]:
+        raise KeyError("no comparison between %d and %d" % (i, j))
+    return float(m.values[i, j])
+
+
+def path_product(m, p):
+    """Product of labels along a path (the induced indirect comparison)."""
+    v = p.vertices
+    r = 1.0
+    for a, b in zip(v, v[1:]):
+        r *= label(m, a, b)
+    return r
+
+
+def cycle_ratio(m, s):
+    """Product of labels along the cycle divided by the closing label.
+
+    Equals 1 exactly when the judgments along the cycle agree with the
+    direct judgment between its endpoints.  Reversing the cycle maps the
+    ratio to its reciprocal.
+    """
+    v = s.vertices
+    return path_product(m, s) / label(m, v[0], v[-1])
+
+
+def cycle_inconsistency(m, s):
+    """min(|1 - R|, |1 - 1/R|) for the cycle ratio R; in [0, 1)."""
+    r = cycle_ratio(m, s)
+    return min(abs(1.0 - r), abs(1.0 - 1.0 / r))

@@ -20,7 +20,6 @@ from pcindex import (
     all_indices,
     build_graph,
     classical_indices,
-    cycle_inconsistency,
     disturb,
     enumerate_cycles,
     enumerate_paths,
@@ -40,6 +39,7 @@ from tests.conftest import (
     TRI3_TEXT,
     brute_cycles,
     brute_paths,
+    cycle_inconsistency,
     random_pattern,
 )
 
@@ -187,7 +187,7 @@ def test_criterion_5_triad_cycle_biconditional():
             for r in [t.c_ik * t.c_kj / t.c_ij]
         )
         g = build_graph(m)
-        cycle_k = max(cycle_inconsistency(g, c) for c in enumerate_cycles(g))
+        cycle_k = max(cycle_inconsistency(m, c) for c in enumerate_cycles(g))
         if (triad_k > 1e-9) != (cycle_k > 1e-9):
             counterexamples += 1
     _report(

@@ -10,15 +10,21 @@ from pcindex import (
     Path,
     PCMatrix,
     build_graph,
-    cycle_inconsistency,
-    cycle_ratio,
     enumerate_cycles,
     enumerate_paths,
     graph,
     is_irreducible,
-    path_product,
 )
-from tests.conftest import brute_cycles, brute_paths, random_complete, random_pattern
+from tests.conftest import (
+    brute_cycles,
+    brute_paths,
+    cycle_inconsistency,
+    cycle_ratio,
+    label,
+    path_product,
+    random_complete,
+    random_pattern,
+)
 
 # canonical simple cycle counts of the complete graph, n = 3..7
 COMPLETE_CYCLES = {3: 1, 4: 7, 5: 37, 6: 197, 7: 1172}
@@ -35,10 +41,10 @@ def test_graph_basics(inc4):
     assert g.neighbors(0) == (1, 2, 3)
     assert g.neighbors(2) == (0, 1)
     assert g.neighbors(3) == (0, 1)
-    assert g.label(0, 1) == 2.0 / 3.0
-    assert g.label(1, 0) == pytest.approx(1.5)
+    assert label(inc4, 0, 1) == 2.0 / 3.0
+    assert label(inc4, 1, 0) == pytest.approx(1.5)
     with pytest.raises(KeyError):
-        g.label(2, 3)
+        label(inc4, 2, 3)
 
 
 def test_is_irreducible(tri3, inc4, sparse7, disconnected4):
@@ -150,7 +156,7 @@ def test_paths_inc4(inc4):
     assert got == [(2, 0, 1, 3), (2, 0, 3), (2, 1, 0, 3), (2, 1, 3)]
     assert got == sorted(got)
     for p in enumerate_paths(g, 2, 3):
-        assert path_product(g, p) == pytest.approx(3.0 / 8.0, rel=1e-12)
+        assert path_product(inc4, p) == pytest.approx(3.0 / 8.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,extra", [(4, 1), (5, 2), (6, 5)])
@@ -175,40 +181,35 @@ def test_paths_argument_errors(disconnected4):
 
 
 def test_cycle_ratio_and_inconsistency(sparse7, tri3):
-    g = build_graph(sparse7)
     c = Cycle((0, 1, 3, 6))
-    assert cycle_ratio(g, c) == pytest.approx(10.5, rel=1e-12)
-    assert cycle_inconsistency(g, c) == pytest.approx(19.0 / 21.0, rel=1e-12)
-    g3 = build_graph(tri3)
-    assert cycle_ratio(g3, Cycle((0, 1, 2))) == pytest.approx(0.5, rel=1e-12)
-    assert cycle_inconsistency(g3, Cycle((0, 1, 2))) == 0.5
+    assert cycle_ratio(sparse7, c) == pytest.approx(10.5, rel=1e-12)
+    assert cycle_inconsistency(sparse7, c) == pytest.approx(19.0 / 21.0, rel=1e-12)
+    assert cycle_ratio(tri3, Cycle((0, 1, 2))) == pytest.approx(0.5, rel=1e-12)
+    assert cycle_inconsistency(tri3, Cycle((0, 1, 2))) == 0.5
 
 
 def test_cycle_inconsistency_direction_invariant():
     rng = np.random.default_rng(3)
     m = random_complete(rng, 5)
-    g = build_graph(m)
-    for c in enumerate_cycles(g):
+    for c in enumerate_cycles(build_graph(m)):
         back = (c.vertices[0],) + tuple(reversed(c.vertices[1:]))
-        kf = cycle_inconsistency(g, c)
-        kb = cycle_inconsistency(g, Cycle(back))
+        kf = cycle_inconsistency(m, c)
+        kb = cycle_inconsistency(m, Cycle(back))
         assert kf == pytest.approx(kb, rel=1e-9)
         assert 0.0 <= kf < 1.0
-        assert cycle_ratio(g, Cycle(back)) == pytest.approx(
-            1.0 / cycle_ratio(g, c), rel=1e-9
+        assert cycle_ratio(m, Cycle(back)) == pytest.approx(
+            1.0 / cycle_ratio(m, c), rel=1e-9
         )
 
 
 def test_path_product_single_edge(tri3):
-    g = build_graph(tri3)
-    assert path_product(g, Path((0, 2))) == 12.0
-    assert path_product(g, Path((2, 0))) == 1.0 / 12.0
+    assert path_product(tri3, Path((0, 2))) == 12.0
+    assert path_product(tri3, Path((2, 0))) == 1.0 / 12.0
 
 
 def test_consistent_matrix_all_cycle_ratios_one():
     rng = np.random.default_rng(11)
     u = np.exp(rng.uniform(-1, 1, 6))
     m = PCMatrix(u[:, None] / u[None, :])
-    g = build_graph(m)
-    for c in enumerate_cycles(g):
-        assert cycle_inconsistency(g, c) <= 1e-12
+    for c in enumerate_cycles(build_graph(m)):
+        assert cycle_inconsistency(m, c) <= 1e-12

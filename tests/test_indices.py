@@ -28,6 +28,7 @@ from pcindex import (
     cycle_based_indices,
     disturb,
     enumerate_cycles,
+    enumerate_paths,
     gen_consistent,
     gmm,
     harker_ci,
@@ -38,7 +39,7 @@ from pcindex import (
     remove_comparisons,
     sh_index_inc,
 )
-from tests.conftest import HUGE4_TEXT, random_complete
+from tests.conftest import HUGE4_TEXT, path_product, random_complete
 
 LN2 = math.log(2.0)
 # frozen hand oracles for the 3x3 fixture [[1,2,12],[1/2,1,3],[1/12,1/3,1]]
@@ -248,14 +249,12 @@ def test_sh_inc_tri3_equals_classical(tri3):
 
 
 def test_sh_inc_longhand(inc4, sparse7):
-    from pcindex import enumerate_paths, path_product
-
     for m in [inc4] + _walk_cases(sparse7):
         g = build_graph(m)
         total = 0.0
         for i in range(m.n):
             for j in range(i + 1, m.n):
-                prods = [path_product(g, p) for p in enumerate_paths(g, i, j)]
+                prods = [path_product(m, p) for p in enumerate_paths(g, i, j)]
                 hi, lo = max(prods), min(prods)
                 total += (hi - lo) / ((1 + hi) * (1 + lo))
         want = 2.0 * total / (m.n * (m.n - 1))

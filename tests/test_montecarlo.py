@@ -7,6 +7,8 @@ on the same random substreams, and both the removal masks and all
 fourteen index values must agree.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from pcindex import (
 )
 from pcindex import _fast
 from pcindex.montecarlo import (
+    _bridges,
     _chain_masks,
     _delta_rows,
     _stream_values,
@@ -37,6 +40,7 @@ from pcindex.montecarlo import (
     ranking,
     totals_csv,
 )
+from tests.conftest import random_pattern
 
 
 def test_gen_consistent_properties():
@@ -117,6 +121,107 @@ def test_remove_comparisons_bad_k():
     with pytest.raises(BadK):
         remove_comparisons(tree, 1, rng)
     assert remove_comparisons(tree, 0, rng) == tree
+
+
+def _adjacency(n, edges):
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _connected(n, edges):
+    seen = {0}
+    grew = True
+    while grew:
+        grew = False
+        for a, b in edges:
+            if (a in seen) != (b in seen):
+                seen |= {a, b}
+                grew = True
+    return len(seen) == n
+
+
+def _bridges_by_definition(n, edges):
+    """The edges whose deletion disconnects the graph."""
+    return {e for e in edges if not _connected(n, edges - {e})}
+
+
+def _shapes(n):
+    """Path, star, cycle, K_n and two cliques joined by one edge, on n vertices."""
+    full = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    path = {(v, v + 1) for v in range(n - 1)}
+    h = n // 2
+    return [
+        path,
+        {(0, v) for v in range(1, n)},
+        path | {(0, n - 1)},
+        full,
+        {(i, j) for i, j in full if j < h or i >= h} | {(h - 1, h)},
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_bridges_match_definition(n):
+    rng = np.random.default_rng(400 + n)
+    graphs = []
+    for edges in _shapes(n):
+        # relabelled too, so the search root (vertex 0) sits anywhere in the shape
+        perm = rng.permutation(n)
+        moved = {tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in edges}
+        graphs += [edges, moved]
+    spare = n * (n - 1) // 2 - (n - 1)
+    for _ in range(60):
+        defined = random_pattern(rng, n, int(rng.integers(spare + 1)))
+        graphs.append({(i, j) for i in range(n) for j in range(i + 1, n) if defined[i, j]})
+    for edges in graphs:
+        assert _bridges(n, _adjacency(n, edges)) == _bridges_by_definition(n, edges)
+
+
+def _state_bytes(rng):
+    st = rng.bit_generator.state
+    return repr(
+        (st["bit_generator"], st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"])
+    ).encode()
+
+
+def test_removal_stream_pin():
+    """Removal chains down to a spanning tree and the generator state after each.
+
+    Any change to the candidate set of a step, to the order the draw
+    indexes it in, or to the number of draws moves the digest.
+    """
+    h = hashlib.sha256()
+    for n in range(3, 9):
+        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        spare = len(pairs) - (n - 1)
+        for independent in (False, True):
+            for seed in range(5):
+                rng = np.random.default_rng((seed, n, int(independent)))
+                rows = _chain_masks(n, pairs, spare, rng, independent)
+                h.update(repr(rows.shape).encode())
+                h.update(rows.tobytes())
+                h.update(_state_bytes(rng))
+    assert h.hexdigest() == "a1e6f95000e04deb33d4decc23bc1dfa50277cafb6f6139e4c554259d827506d"
+
+
+def test_remove_comparisons_beyond_64_slots():
+    """n=12 has 66 slots: the live set no longer fits one machine word."""
+    h = hashlib.sha256()
+    for seed in range(3):
+        rng = np.random.default_rng((seed, 12))
+        m = gen_consistent(12, rng)
+        for k in (0, 1, 30, 24):  # 55 spare pairs: the last step ends on a spanning tree
+            r = remove_comparisons(m, k, rng)
+            assert len(defined_pairs(r)) == len(defined_pairs(m)) - k
+            assert is_irreducible(build_graph(r))
+            assert np.array_equal(r.values[r.defined], m.values[r.defined])
+            m = r
+            h.update(m.defined.tobytes())
+            h.update(_state_bytes(rng))
+    assert len(defined_pairs(m)) == 11
+    assert h.hexdigest() == "1b05c0d538e37135d12059b0aa1429c047c647346d2e2ca1d469fe6fa7cc5295"
 
 
 def test_delta_rows_conventions():
