@@ -22,7 +22,6 @@ from .core import (
 )
 from .graph import (
     ComparisonGraph,
-    Cycle,
     CycleCapExceeded,
     NoPath,
     Path,

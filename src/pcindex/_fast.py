@@ -10,13 +10,13 @@ log-entries (upper triangle, lexicographic slot order) plus boolean
 masks saying which comparisons are still present, and a whole removal
 chain is evaluated with array arithmetic.
 
-The tables are built by a level-synchronous numpy frontier over the
-complete graph (``_frontier``): no walk becomes a Python object, and the
-cycle search of K_n takes exactly the steps the depth-first
-``graph.enumerate_cycles`` would, under the same budget.  The
-depth-first enumerators are not called here; they are the independent
-oracle, and a test asserts that the tables list exactly their cycles and
-paths, in their order, for n = 3..8.  The numeric agreement with the
+The tables are built by the level-synchronous numpy frontier of
+``graph`` over the complete graph: the cycles are
+``graph.enumerate_cycles`` of K_n, under its step budget, and the paths
+come from the same frontier with no budget and no closing test.  No
+walk becomes a Python object.  A test asserts that the tables list
+exactly the cycles and paths of the depth-first oracle in the tests, in
+its order, for n = 3..8.  The numeric agreement with the
 reference route is pinned separately by tests that run both routes on
 the same stream.
 Each closed form (cycle statistics, SH, the residual family, GW) is the
@@ -25,12 +25,11 @@ applied here to all mask rows at once.
 """
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import MAX_STEPS, CycleCapExceeded, _ratio_inconsistency
+from .graph import ComparisonGraph, _frontier, _ratio_inconsistency, enumerate_cycles
 from .indices import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -84,8 +83,9 @@ class Tables(NamedTuple):
 def get_tables(n):
     """Build (or fetch cached) tables for size n from the numpy frontier over K_n.
 
-    Raises CycleCapExceeded when the cycle search of K_n takes more than
-    ``graph.MAX_STEPS`` steps, that is for n > 8, before building any path.
+    Raises CycleCapExceeded when ``graph.enumerate_cycles`` of K_n takes
+    more than ``graph.MAX_STEPS`` steps, that is for n > 8, before
+    building any path.
     """
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     ecount = len(pairs)
@@ -115,7 +115,8 @@ def get_tables(n):
         bits = np.where(used, np.uint64(1) << ids.astype(np.uint64), np.uint64(0))
         return ids, rows, np.bitwise_or.reduce(bits, axis=0)
 
-    cyc_slots, cyc_rows, cyc_need = hop_table(_cycle_walks(n))
+    k_n = ComparisonGraph(n, np.ones((n, n), dtype=bool))
+    cyc_slots, cyc_rows, cyc_need = hop_table(enumerate_cycles(k_n))
     paths, ends = _path_walks(n)
     path_slots, path_rows, path_need = hop_table(paths)
     path_pair = slot_of[paths[:, 0], ends]
@@ -138,62 +139,6 @@ def get_tables(n):
     )
 
 
-def _frontier(n, roots, above, max_steps=math.inf):
-    """The simple walks of K_n from each root, one level (hop count) at a time.
-
-    Yields, for k = 1 .. n - 1, a (walks, k + 1) array of the vertex
-    sequences of every k-hop walk that starts at a root and visits no
-    vertex twice; with ``above`` a walk visits only vertices above its
-    root.  Each level extends every walk of the last one by every vertex
-    it has not visited, found with one gather of the walks' visited
-    bitmasks and ``np.nonzero``, so the children of a walk follow in
-    vertex order.  The walks past the roots are the steps the depth-first
-    cycle search takes; once their count passes ``max_steps`` the search
-    raises CycleCapExceeded, before that level is built.
-    """
-    vertex = np.arange(n)
-    bit = np.left_shift(1, vertex)
-    walks = np.array(roots, dtype=np.min_scalar_type(n))[:, None]
-    seen = bit[walks[:, 0]]
-    steps = 0
-    for k in range(1, n):
-        free = (seen[:, None] & bit) == 0
-        if above:
-            free &= vertex > walks[:, :1]
-        steps += np.count_nonzero(free)
-        if steps > max_steps:
-            raise CycleCapExceeded("cycle search exceeded %d steps" % max_steps)
-        parent, u = np.nonzero(free)
-        grown = np.empty((len(u), k + 1), dtype=walks.dtype)
-        grown[:, :k] = walks[parent]
-        grown[:, k] = u
-        walks = grown
-        seen = seen[parent] | bit[u]
-        yield walks
-
-
-def _cycle_walks(n):
-    """The canonical simple cycles of K_n as closed walks padded with n, in DFS order.
-
-    A cycle starts at its least vertex and closes where its second
-    vertex is below its last.  Each row holds the cycle's vertices, its
-    start again and then the padding, so where a cycle is a prefix of
-    another it has its start, the least vertex, where the other goes on:
-    sorting the rows puts every cycle before its extensions, as
-    ``enumerate_cycles`` lists them.
-    """
-    out = []
-    for walks in _frontier(n, range(n), above=True, max_steps=MAX_STEPS):
-        k = walks.shape[1]
-        shut = walks[walks[:, 1] < walks[:, -1]]
-        v = np.full((len(shut), n + 1), n, dtype=walks.dtype)
-        v[:, :k] = shut
-        v[:, k] = shut[:, 0]
-        out.append(v)
-    v = np.concatenate(out)
-    return v[np.lexsort(v.T[::-1])]
-
-
 def _path_walks(n):
     """The simple paths of K_n between pairs i < j, padded with n, in DFS order, and their ends.
 
@@ -206,13 +151,10 @@ def _path_walks(n):
     """
     out = []
     ends = []
-    for walks in _frontier(n, range(n - 1), above=False):
-        k = walks.shape[1]
-        done = walks[walks[:, -1] > walks[:, 0]]
-        v = np.full((len(done), n), n, dtype=walks.dtype)
-        v[:, :k] = done
-        out.append(v)
-        ends.append(done[:, -1])
+    for k, walks in _frontier(~np.eye(n, dtype=bool), range(n - 1), above=False):
+        done = walks[walks[:, k] > walks[:, 0]]
+        out.append(done[:, :n])
+        ends.append(done[:, k])
     v = np.concatenate(out)
     end = np.concatenate(ends)
     order = np.lexsort((*v.T[:0:-1], end, v[:, 0]))

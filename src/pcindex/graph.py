@@ -6,6 +6,11 @@ exactly when this graph is connected (the matrix is then called
 irreducible).  Cycles are the carriers of inconsistency: the product of
 labels around a simple cycle equals 1 iff the judgments along it are
 mutually consistent.
+
+Cycles are listed by a level-synchronous numpy frontier (``_frontier``)
+that never makes a Python object per walk; the experiment's tables in
+``_fast`` come from the same frontier over the complete graph.  Paths
+between one pair are listed by a depth-first search.
 """
 
 import math
@@ -17,7 +22,6 @@ from .core import PCError
 
 __all__ = [
     "ComparisonGraph",
-    "Cycle",
     "Path",
     "CycleCapExceeded",
     "NoPath",
@@ -27,8 +31,6 @@ __all__ = [
     "enumerate_paths",
 ]
 
-# The largest n the experiment tabulates.
-FREE_ENUMERATION_LIMIT = 8
 # Both searches below count one step per vertex they add to a partial
 # path and give up past MAX_STEPS, the steps the cycle search of the
 # complete graph K8 takes.  Adding an edge never removes a partial path,
@@ -37,22 +39,11 @@ MAX_STEPS = 16064
 
 
 class CycleCapExceeded(PCError):
-    """Cycle or path enumeration would exceed its step budget or cycle cap."""
+    """Cycle or path enumeration would exceed its step budget."""
 
 
 class NoPath(PCError):
     """No simple path exists between the requested vertices."""
-
-
-class Cycle(NamedTuple):
-    """Simple cycle in canonical form.
-
-    ``vertices`` starts at the smallest vertex of the cycle and runs in
-    the direction whose second vertex is smaller than its last, so each
-    direction-equivalence class appears exactly once.
-    """
-
-    vertices: tuple
 
 
 class Path(NamedTuple):
@@ -111,56 +102,71 @@ def is_irreducible(g):
     return count == n
 
 
-def enumerate_cycles(g, max_cycles=None):
+def enumerate_cycles(g):
     """All simple cycles (3 or more vertices), canonical, in lexicographic order.
 
     Each direction-equivalence class is returned once (a cycle and its
     reversal describe the same judgment loop; their ratios are mutual
-    reciprocals and their inconsistency is identical).  The search fixes
-    the smallest cycle vertex as the start and keeps the direction with
-    second < last, which also makes the output order deterministic.
+    reciprocals and their inconsistency is identical).  A cycle starts
+    at its smallest vertex and keeps the direction with second < last,
+    which also makes the output order deterministic.
 
-    The search raises CycleCapExceeded past MAX_STEPS steps.  An explicit
-    ``max_cycles`` replaces that budget with a cap on the cycles found,
-    for callers that accept the work of a larger graph.
+    Returns a (cycles, n + 1) array of closed walks: each row holds the
+    cycle's vertices, its start again, then ``n`` as padding.  Where one
+    cycle is a prefix of another the first has its start, the least
+    vertex, where the other goes on, so sorting the rows lists every
+    cycle before its extensions, as a depth-first search would.  The
+    search is ``_frontier`` from every vertex and raises CycleCapExceeded
+    past MAX_STEPS steps.
     """
-    if max_cycles is None:
-        max_steps, max_cycles = MAX_STEPS, math.inf
-    else:
-        max_steps = math.inf
-    out = []
+    n = g.n
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in g.edges:
+        adj[i, j] = adj[j, i] = True
+    out = [np.empty((0, n + 1), dtype=np.min_scalar_type(n))]
+    for k, walks in _frontier(adj, range(n), above=True, max_steps=MAX_STEPS):
+        # keeping second < last lists each direction class once
+        shut = walks[(walks[:, 1] < walks[:, k]) & adj[walks[:, k], walks[:, 0]]]
+        shut[:, k + 1] = shut[:, 0]
+        out.append(shut)
+    v = np.concatenate(out)
+    return v[np.lexsort(v.T[::-1])]
+
+
+def _frontier(adj, roots, above, max_steps=math.inf):
+    """The simple walks over the boolean adjacency ``adj``, one level (hop count) at a time.
+
+    Yields (k, walks) for k = 1, 2, ..., where walks is a (walks, n + 1)
+    array of every k-hop walk that starts at a root and visits no vertex
+    twice: its k + 1 vertices, then ``n`` as padding.  With ``above`` a walk visits
+    only vertices above its root.  Each level extends every walk of the
+    last one by every neighbour of its last vertex that it may still
+    enter, found with one gather of adjacency rows against the walks'
+    boolean rows of enterable vertices and ``np.nonzero``, so the
+    children of a walk follow in vertex order.  The walks past the roots
+    are the steps a depth-first search takes; once their count passes
+    ``max_steps`` the search raises CycleCapExceeded, before that level
+    is built.  It stops at the first empty level.
+    """
+    n = len(adj)
+    vertex = np.arange(n)
+    walks = np.full((len(roots), n + 1), n, dtype=np.min_scalar_type(n))
+    walks[:, 0] = roots
+    enterable = vertex > walks[:, :1] if above else vertex != walks[:, :1]
     steps = 0
-    for s in range(g.n):
-        # the search from s walks only vertices above s
-        up = [tuple(u for u in a if u > s) for a in g._adj]
-        closes = set(g._adj[s])
-        path = [s]
-        on_path = {s}
-        walk = iter(up[s])
-        stack = []
-        while True:
-            for u in walk:
-                if u in on_path:
-                    continue
-                steps += 1
-                if steps > max_steps:
-                    raise CycleCapExceeded("cycle search exceeded %d steps" % max_steps)
-                path.append(u)
-                # keeping second < last lists each direction class once
-                if u in closes and path[1] < u:
-                    out.append(Cycle(tuple(path)))
-                    if len(out) > max_cycles:
-                        raise CycleCapExceeded("more than %d simple cycles" % max_cycles)
-                on_path.add(u)
-                stack.append(walk)
-                walk = iter(up[u])
-                break
-            else:
-                if not stack:
-                    break
-                walk = stack.pop()
-                on_path.remove(path.pop())
-    return out
+    for k in range(1, n):
+        free = adj[walks[:, k - 1]] & enterable
+        steps += np.count_nonzero(free)
+        if steps > max_steps:
+            raise CycleCapExceeded("cycle search exceeded %d steps" % max_steps)
+        parent, u = np.nonzero(free)
+        if not len(u):
+            return
+        walks = walks[parent]
+        walks[:, k] = u
+        enterable = enterable[parent]
+        enterable[np.arange(len(u)), u] = False
+        yield k, walks
 
 
 def enumerate_paths(g, i, j):

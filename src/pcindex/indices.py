@@ -25,7 +25,6 @@ at once, so no product of raw ratios is formed along the way.
 """
 
 from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +78,6 @@ CLASSICAL_NAMES = ("CI", "GCI", "K", "I1", "I2", "Ialpha", "Ialphabeta", "GW", "
 
 DEFAULT_ALPHA = 0.5  # weight of the max-cycle term in the alpha blend
 DEFAULT_BETA = 0.3  # shared weight of max and mean terms in the alpha-beta blend
-_WALK_CHUNK = 1024  # walks gathered at once by _walk_logs
 
 
 class BadParams(PCError):
@@ -181,27 +179,21 @@ def _log_entries(m):
     return np.log(np.where(m.defined, m.values, 1.0))
 
 
-def _walk_logs(logs, walks, closed):
-    """Sum of the hop log-entries along each vertex walk (Cycle or Path).
+def _walk_logs(logs, paths):
+    """Sum of the hop log-entries along each Path.
 
-    Each chunk of walks is flattened into one vertex array and all its
-    hops' log-entries are gathered at once; chunking keeps the index
-    arrays small when there are many walks.  A closed walk adds the hop
-    from its last vertex back to its first; an open one ends on the
-    diagonal entry ln c_jj = 0.
+    The paths are flattened into one vertex array and all their hops'
+    log-entries are gathered at once; the last vertex of a path ends on
+    the diagonal entry ln c_jj = 0.
     """
-    out = np.empty(len(walks))
-    for k in range(0, len(walks), _WALK_CHUNK):
-        verts = list(map(attrgetter("vertices"), walks[k : k + _WALK_CHUNK]))
-        lens = np.fromiter(map(len, verts), np.intp, len(verts))
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        flat = np.fromiter(chain.from_iterable(verts), np.intp, ends[-1])
-        nxt = np.empty_like(flat)
-        nxt[:-1] = flat[1:]
-        nxt[ends - 1] = flat[starts] if closed else flat[ends - 1]
-        out[k : k + len(verts)] = np.add.reduceat(logs[flat, nxt], starts)
-    return out
+    verts = [p.vertices for p in paths]
+    lens = np.fromiter(map(len, verts), np.intp, len(verts))
+    ends = np.cumsum(lens)
+    flat = np.fromiter(chain.from_iterable(verts), np.intp, ends[-1])
+    nxt = np.empty_like(flat)
+    nxt[:-1] = flat[1:]
+    nxt[ends - 1] = flat[ends - 1]
+    return np.add.reduceat(logs[flat, nxt], ends - lens)
 
 
 def classical_indices(m):
@@ -260,18 +252,27 @@ def classical_indices(m):
     })
 
 
-def cycle_based_indices(m, max_cycles=None):
+def cycle_based_indices(m):
     """Max / mean / scaled quadratic mean of inconsistency over all simple cycles.
 
     The cycle set is empty exactly when the comparison graph is a tree;
     all three values are then 0 (a tree carries no redundancy, so the
-    judgments cannot contradict each other).
+    judgments cannot contradict each other).  Each cycle's log ratio is
+    summed hop by hop down the columns of the padded closed walks of
+    ``enumerate_cycles``; a hop onto the padding vertex n reads 0.
     """
     g = build_graph(m)
     if not is_irreducible(g):
         raise NotIrreducible("comparison graph is disconnected")
-    cycles = enumerate_cycles(g, max_cycles=max_cycles)
-    log_r = _walk_logs(_log_entries(m), cycles, closed=True)
+    walks = enumerate_cycles(g)
+    logs = np.zeros((m.n + 1, m.n + 1))
+    logs[:-1, :-1] = _log_entries(m)
+    # the first hop goes in last: up to 8 hops, each sum then rounds
+    # exactly as np.add.reduce over the walk's hops does
+    log_r = np.zeros(len(walks))
+    for a, b in zip(walks.T[1:-1], walks.T[2:]):
+        log_r += logs[a, b]
+    log_r += logs[walks[:, 0], walks[:, 1]]
     return _cycle_stats(_ratio_inconsistency(np.exp(log_r)))
 
 
@@ -292,7 +293,7 @@ def sh_index_inc(m):
     hi = []
     for i in range(n):
         for j in range(i + 1, n):
-            log_p = _walk_logs(logs, enumerate_paths(g, i, j), closed=False)
+            log_p = _walk_logs(logs, enumerate_paths(g, i, j))
             lo.append(log_p.min())
             hi.append(log_p.max())
     return float(_sh(n, np.exp(lo), np.exp(hi)))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _fast
 from .core import BadSize, NotComplete, NotIrreducible, PCError, PCMatrix, is_complete
-from .graph import FREE_ENUMERATION_LIMIT, build_graph, is_irreducible
+from .graph import build_graph, is_irreducible
 from .indices import DEFAULT_ALPHA, DEFAULT_BETA, INDEX_NAMES, BadParams, check_blend
 
 __all__ = [
@@ -43,6 +43,8 @@ __all__ = [
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# The largest n whose cycle and path tables fit the cycle search's step budget.
+FREE_ENUMERATION_LIMIT = 8
 
 
 class BadK(PCError):

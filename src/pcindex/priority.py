@@ -68,7 +68,7 @@ def _strongly_connected(pattern):
     return True
 
 
-def principal_eigen(A, tol=EIGEN_TOL, max_iter=EIGEN_MAX_ITER):
+def principal_eigen(A, max_iter=EIGEN_MAX_ITER):
     """Perron pair of a nonnegative irreducible matrix by power iteration.
 
     Iterates on A + I; the shift makes the dominant eigenvalue strictly
@@ -76,7 +76,7 @@ def principal_eigen(A, tol=EIGEN_TOL, max_iter=EIGEN_MAX_ITER):
     iteration always converges for irreducible input.  The shift is
     subtracted from the reported eigenvalue.  Starts from the uniform
     vector for reproducibility; stops when the normalized iterate moves
-    by at most ``tol`` relative to its largest entry.
+    by at most ``EIGEN_TOL`` relative to its largest entry.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -91,7 +91,7 @@ def principal_eigen(A, tol=EIGEN_TOL, max_iter=EIGEN_MAX_ITER):
     for _ in range(max_iter):
         w = M @ v
         w /= w.sum()
-        if np.max(np.abs(w - v)) <= tol * np.max(w):
+        if np.max(np.abs(w - v)) <= EIGEN_TOL * np.max(w):
             lam = float((M @ w).sum())  # w sums to 1, so this is the Rayleigh-like estimate
             return EigenResult(lam - 1.0, w)
         v = w

@@ -1,11 +1,13 @@
-"""Shared fixtures: small hand matrices, brute-force reference enumerators
-and longhand cycle and path products.
+"""Shared fixtures: small hand matrices, brute-force reference enumerators,
+a depth-first cycle search and longhand cycle and path products.
 
 The brute-force helpers here deliberately do NOT reuse the library's
 graph code: they generate candidate vertex sequences by raw
 permutation filtering, so the production enumerators are checked
-against an independent route.  The longhand products multiply raw
-entries hop by hop, where the library sums log-entries.
+against an independent route.  The depth-first cycle search is the
+order and budget oracle of the library's frontier search.  The
+longhand products multiply raw entries hop by hop, where the library
+sums log-entries.
 """
 
 from itertools import combinations, permutations
@@ -13,7 +15,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from pcindex import PCMatrix, parse_matrix
+from pcindex import CycleCapExceeded, PCMatrix, graph, parse_matrix
 
 # one line per acceptance criterion, echoed in the terminal summary so the
 # verdicts are visible even when everything passes under output capture
@@ -138,6 +140,55 @@ def brute_cycles(n, defined):
     return out
 
 
+def dfs_cycles(g, max_steps=None):
+    """Canonical simple cycles of a ComparisonGraph as vertex tuples, by depth-first search.
+
+    The search fixes the smallest cycle vertex as the start, walks only
+    vertices above it in increasing order, and keeps the direction with
+    second < last, so the cycles come out in lexicographic order, each
+    before its extensions.  It counts one step per vertex it adds to a
+    partial path and raises CycleCapExceeded past ``max_steps``
+    (default ``graph.MAX_STEPS``).  It keeps its own stack, so long path
+    graphs do not recurse.
+    """
+    if max_steps is None:
+        max_steps = graph.MAX_STEPS
+    out = []
+    steps = 0
+    for s in range(g.n):
+        up = [tuple(u for u in g.neighbors(v) if u > s) for v in range(g.n)]
+        closes = set(g.neighbors(s))
+        path = [s]
+        on_path = {s}
+        walk = iter(up[s])
+        stack = []
+        while True:
+            for u in walk:
+                if u in on_path:
+                    continue
+                steps += 1
+                if steps > max_steps:
+                    raise CycleCapExceeded("cycle search exceeded %d steps" % max_steps)
+                path.append(u)
+                if u in closes and path[1] < u:
+                    out.append(tuple(path))
+                on_path.add(u)
+                stack.append(walk)
+                walk = iter(up[u])
+                break
+            else:
+                if not stack:
+                    break
+                walk = stack.pop()
+                on_path.remove(path.pop())
+    return out
+
+
+def cycle_vertices(walks):
+    """Vertex tuples of the padded closed walks that ``enumerate_cycles`` returns."""
+    return [tuple(row[: row.index(row[0], 1)]) for row in walks.tolist()]
+
+
 def brute_paths(n, defined, i, j):
     """All simple paths i -> j by raw permutation filtering."""
     others = [v for v in range(n) if v not in (i, j)]
@@ -157,27 +208,30 @@ def label(m, i, j):
     return float(m.values[i, j])
 
 
-def path_product(m, p):
-    """Product of labels along a path (the induced indirect comparison)."""
-    v = p.vertices
+def hop_product(m, v):
+    """Product of labels along the vertex sequence v."""
     r = 1.0
     for a, b in zip(v, v[1:]):
         r *= label(m, a, b)
     return r
 
 
-def cycle_ratio(m, s):
-    """Product of labels along the cycle divided by the closing label.
+def path_product(m, p):
+    """Product of labels along a path (the induced indirect comparison)."""
+    return hop_product(m, p.vertices)
+
+
+def cycle_ratio(m, v):
+    """Product of labels along the cycle through vertices v divided by the closing label.
 
     Equals 1 exactly when the judgments along the cycle agree with the
     direct judgment between its endpoints.  Reversing the cycle maps the
     ratio to its reciprocal.
     """
-    v = s.vertices
-    return path_product(m, s) / label(m, v[0], v[-1])
+    return hop_product(m, v) / label(m, v[0], v[-1])
 
 
-def cycle_inconsistency(m, s):
-    """min(|1 - R|, |1 - 1/R|) for the cycle ratio R; in [0, 1)."""
-    r = cycle_ratio(m, s)
+def cycle_inconsistency(m, v):
+    """min(|1 - R|, |1 - 1/R|) for the ratio R of the cycle through vertices v; in [0, 1)."""
+    r = cycle_ratio(m, v)
     return min(abs(1.0 - r), abs(1.0 - 1.0 / r))

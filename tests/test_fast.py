@@ -1,6 +1,7 @@
-"""The experiment's per-n tables: built by a numpy frontier over K_n, and
-checked against the depth-first enumerators of ``graph``, which serve as
-the independent oracle of the table route."""
+"""The experiment's per-n tables: built by the numpy frontier of ``graph``
+over K_n, and checked against depth-first enumerators, which serve as the
+independent oracle of the table route: the cycle search in ``conftest``
+and ``graph.enumerate_paths``."""
 
 import hashlib
 import time
@@ -10,13 +11,8 @@ import pytest
 
 from pcindex import _fast, graph
 from pcindex.core import PCMatrix
-from pcindex.graph import (
-    MAX_STEPS,
-    CycleCapExceeded,
-    build_graph,
-    enumerate_cycles,
-    enumerate_paths,
-)
+from pcindex.graph import MAX_STEPS, CycleCapExceeded, build_graph, enumerate_paths
+from tests.conftest import dfs_cycles
 
 # SHA-256 over every Tables field (see _digest), taken from the tables the
 # depth-first enumerators built
@@ -58,7 +54,7 @@ def test_tables_equal_the_depth_first_enumerators(n):
     t = _fast.get_tables(n)
     g = build_graph(PCMatrix(np.ones((n, n))))
     assert t.pairs == g.edges
-    cycles = [c.vertices + c.vertices[:1] for c in enumerate_cycles(g)]
+    cycles = [c + c[:1] for c in dfs_cycles(g)]
     assert _walks(t, t.cyc_slots, t.cyc_rows) == cycles
     paths = [[p.vertices for p in enumerate_paths(g, i, j)] for i, j in t.pairs]
     assert t.path_starts.tolist() == np.cumsum([0] + [len(p) for p in paths[:-1]]).tolist()
@@ -73,12 +69,11 @@ def test_tables_hold_their_pinned_bytes(n):
 
 def test_tables_build_without_the_enumerators(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the table route called a depth-first enumerator")
+        raise AssertionError("the table route called the depth-first path enumerator")
 
-    # patched in _fast too, where a ``from .graph import`` would have bound them
+    # patched in _fast too, where a ``from .graph import`` would have bound it
     for module in (graph, _fast):
-        for name in ("enumerate_cycles", "enumerate_paths"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(module, "enumerate_paths", refuse, raising=False)
     _fast.get_tables.cache_clear()
     for n in range(3, 9):
         assert _digest(_fast.get_tables(n)) == TABLE_SHA256[n]
@@ -86,9 +81,10 @@ def test_tables_build_without_the_enumerators(monkeypatch):
 
 def test_frontier_takes_the_cycle_search_steps_of_k8():
     # K8's cycle search takes exactly MAX_STEPS steps
-    assert sum(1 for _ in _fast._frontier(8, range(8), above=True, max_steps=MAX_STEPS)) == 7
+    k8 = ~np.eye(8, dtype=bool)
+    assert sum(1 for _ in graph._frontier(k8, range(8), above=True, max_steps=MAX_STEPS)) == 7
     with pytest.raises(CycleCapExceeded, match="cycle search exceeded %d steps" % (MAX_STEPS - 1)):
-        list(_fast._frontier(8, range(8), above=True, max_steps=MAX_STEPS - 1))
+        list(graph._frontier(k8, range(8), above=True, max_steps=MAX_STEPS - 1))
 
 
 def test_k9_tables_exceed_the_budget_quickly():

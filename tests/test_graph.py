@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pcindex import (
-    Cycle,
     CycleCapExceeded,
     NoPath,
     Path,
@@ -20,6 +19,8 @@ from tests.conftest import (
     brute_paths,
     cycle_inconsistency,
     cycle_ratio,
+    cycle_vertices,
+    dfs_cycles,
     label,
     path_product,
     random_complete,
@@ -60,8 +61,7 @@ def test_cycle_counts_complete(n):
 
 
 def test_cycles_are_canonical_sorted_unique():
-    out = enumerate_cycles(build_graph(complete(5)))
-    seqs = [c.vertices for c in out]
+    seqs = cycle_vertices(enumerate_cycles(build_graph(complete(5))))
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
     for s in seqs:
@@ -75,34 +75,44 @@ def test_cycles_match_brute_force(n, extra):
     rng = np.random.default_rng(100 * n + extra)
     m = PCMatrix(np.ones((n, n)), random_pattern(rng, n, extra))
     g = build_graph(m)
-    got = {c.vertices for c in enumerate_cycles(g)}
+    got = set(cycle_vertices(enumerate_cycles(g)))
     assert got == brute_cycles(n, m.defined)
 
 
 def test_sparse7_has_no_triads_but_cycles(sparse7):
     g = build_graph(sparse7)
-    cycles = enumerate_cycles(g)
+    cycles = cycle_vertices(enumerate_cycles(g))
     assert cycles  # irreducible with redundancy, so cycles exist
-    assert min(len(c.vertices) for c in cycles) == 4  # no triads at all
-    assert (0, 1, 3, 6) in {c.vertices for c in cycles}
-    assert {c.vertices for c in cycles} == brute_cycles(7, sparse7.defined)
+    assert min(len(c) for c in cycles) == 4  # no triads at all
+    assert (0, 1, 3, 6) in set(cycles)
+    assert set(cycles) == brute_cycles(7, sparse7.defined)
 
 
 def test_cycle_cap():
     g = build_graph(complete(9))
     with pytest.raises(CycleCapExceeded):
         enumerate_cycles(g)  # free enumeration only up to n = 8
-    with pytest.raises(CycleCapExceeded):
-        enumerate_cycles(g, max_cycles=50)
-    some = enumerate_cycles(build_graph(complete(5)), max_cycles=37)
-    assert len(some) == 37
     # n = 8 is still free
     assert len(enumerate_cycles(build_graph(complete(8)))) == 8018
 
 
+def graph_of(n, edges):
+    defined = np.eye(n, dtype=bool)
+    for i, j in edges:
+        defined[i, j] = defined[j, i] = True
+    return build_graph(PCMatrix(np.ones((n, n)), defined))
+
+
 def path_graph(n):
-    chain = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
-    return build_graph(PCMatrix(np.ones((n, n)), chain))
+    return graph_of(n, [(k, k + 1) for k in range(n - 1)])
+
+
+def diamonds_graph(count):
+    """``count`` diamonds in series: one cycle each, about 2^count partial paths."""
+    edges = []
+    for a in range(0, 3 * count, 3):
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+    return graph_of(3 * count + 1, edges)
 
 
 def test_step_budget_is_the_k8_cycle_search(monkeypatch):
@@ -121,19 +131,15 @@ def test_step_budget_is_the_k8_cycle_search(monkeypatch):
 def test_step_budget_counts_work_not_n():
     # a 9-vertex path is past n = 8 but has one path per pair and no cycle
     g = path_graph(9)
-    assert enumerate_cycles(g) == []
+    assert len(enumerate_cycles(g)) == 0
     assert [p.vertices for p in enumerate_paths(g, 0, 8)] == [tuple(range(9))]
     # K9's 13700 paths per pair fit the budget, K10's 109601 do not
     assert len(enumerate_paths(build_graph(complete(9)), 0, 1)) == 13700
     with pytest.raises(CycleCapExceeded):
         enumerate_paths(build_graph(complete(10)), 0, 1)
     # thirty diamonds in series: 30 cycles, but about 2^30 dead ends to walk
-    diamonds = np.eye(91, dtype=bool)
-    for a in range(0, 90, 3):
-        for i, j in ((a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)):
-            diamonds[i, j] = diamonds[j, i] = True
     with pytest.raises(CycleCapExceeded):
-        enumerate_cycles(build_graph(PCMatrix(np.ones((91, 91)), diamonds)))
+        enumerate_cycles(diamonds_graph(30))
 
 
 def test_searches_do_not_recurse():
@@ -142,6 +148,46 @@ def test_searches_do_not_recurse():
     assert [p.vertices for p in enumerate_paths(g, 0, 1499)] == [tuple(range(1500))]
     with pytest.raises(CycleCapExceeded):
         enumerate_cycles(g)  # 1500 * 1499 / 2 steps
+
+
+def _cycles_or_refusal(search, g):
+    try:
+        return search(g)
+    except CycleCapExceeded as e:
+        return str(e)
+
+
+def test_frontier_matches_the_depth_first_search():
+    # same cycles in the same order, or the same refusal, on random graphs
+    # and fixed shapes; several of them lie past the step budget
+    rng = np.random.default_rng(15)
+    cases = [diamonds_graph(2), diamonds_graph(30), path_graph(1500)]
+    for n in range(3, 11):
+        cases += [
+            path_graph(n),
+            graph_of(n, [(0, k) for k in range(1, n)]),
+            graph_of(n, [(k, (k + 1) % n) for k in range(n)]),
+            build_graph(complete(n)),
+        ]
+        spare = n * (n - 1) // 2 - (n - 1)
+        for extra in rng.integers(0, spare + 1, size=8):
+            cases.append(build_graph(PCMatrix(np.ones((n, n)), random_pattern(rng, n, int(extra)))))
+    refused = 0
+    for g in cases:
+        want = _cycles_or_refusal(dfs_cycles, g)
+        got = _cycles_or_refusal(lambda g: cycle_vertices(enumerate_cycles(g)), g)
+        assert got == want, g
+        refused += isinstance(want, str)
+    assert 10 <= refused <= len(cases) - 50
+
+
+def test_frontier_and_depth_first_search_share_the_k8_budget(monkeypatch):
+    k8 = build_graph(complete(8))
+    assert len(enumerate_cycles(k8)) == len(dfs_cycles(k8)) == 8018
+    monkeypatch.setattr(graph, "MAX_STEPS", graph.MAX_STEPS - 1)
+    for search in (enumerate_cycles, dfs_cycles):
+        with pytest.raises(CycleCapExceeded, match="exceeded 16063 steps"):
+            search(k8)
 
 
 def test_path_count_complete7():
@@ -181,23 +227,23 @@ def test_paths_argument_errors(disconnected4):
 
 
 def test_cycle_ratio_and_inconsistency(sparse7, tri3):
-    c = Cycle((0, 1, 3, 6))
+    c = (0, 1, 3, 6)
     assert cycle_ratio(sparse7, c) == pytest.approx(10.5, rel=1e-12)
     assert cycle_inconsistency(sparse7, c) == pytest.approx(19.0 / 21.0, rel=1e-12)
-    assert cycle_ratio(tri3, Cycle((0, 1, 2))) == pytest.approx(0.5, rel=1e-12)
-    assert cycle_inconsistency(tri3, Cycle((0, 1, 2))) == 0.5
+    assert cycle_ratio(tri3, (0, 1, 2)) == pytest.approx(0.5, rel=1e-12)
+    assert cycle_inconsistency(tri3, (0, 1, 2)) == 0.5
 
 
 def test_cycle_inconsistency_direction_invariant():
     rng = np.random.default_rng(3)
     m = random_complete(rng, 5)
-    for c in enumerate_cycles(build_graph(m)):
-        back = (c.vertices[0],) + tuple(reversed(c.vertices[1:]))
+    for c in cycle_vertices(enumerate_cycles(build_graph(m))):
+        back = (c[0],) + tuple(reversed(c[1:]))
         kf = cycle_inconsistency(m, c)
-        kb = cycle_inconsistency(m, Cycle(back))
+        kb = cycle_inconsistency(m, back)
         assert kf == pytest.approx(kb, rel=1e-9)
         assert 0.0 <= kf < 1.0
-        assert cycle_ratio(m, Cycle(back)) == pytest.approx(
+        assert cycle_ratio(m, back) == pytest.approx(
             1.0 / cycle_ratio(m, c), rel=1e-9
         )
 
@@ -211,5 +257,5 @@ def test_consistent_matrix_all_cycle_ratios_one():
     rng = np.random.default_rng(11)
     u = np.exp(rng.uniform(-1, 1, 6))
     m = PCMatrix(u[:, None] / u[None, :])
-    for c in enumerate_cycles(build_graph(m)):
+    for c in cycle_vertices(enumerate_cycles(build_graph(m))):
         assert cycle_inconsistency(m, c) <= 1e-12

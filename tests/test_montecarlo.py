@@ -16,6 +16,7 @@ from pcindex import (
     BadK,
     BadParams,
     BadSize,
+    CycleCapExceeded,
     DistanceTable,
     ExperimentConfig,
     NotComplete,
@@ -32,6 +33,7 @@ from pcindex import (
 )
 from pcindex import _fast
 from pcindex.montecarlo import (
+    FREE_ENUMERATION_LIMIT,
     _bridges,
     _chain_masks,
     _delta_rows,
@@ -276,6 +278,13 @@ def test_config_validation():
             ExperimentConfig(n=5, d_max=2, removals_max=3, weight_range=wide)
     with pytest.raises(BadParams):
         ExperimentConfig(n=8, d_max=10**51, removals_max=1)  # d_max**(2*(n-1)) alone overflows
+
+
+def test_free_enumeration_limit_is_the_table_budget():
+    # ExperimentConfig's largest n is the largest whose tables the step budget lets build
+    assert _fast.get_tables(FREE_ENUMERATION_LIMIT).n == FREE_ENUMERATION_LIMIT
+    with pytest.raises(CycleCapExceeded):
+        _fast.get_tables(FREE_ENUMERATION_LIMIT + 1)
 
 
 SMALL = dict(n=5, base_matrices=2, d_max=3, removals_max=6, seed=99)
