@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import NotIrreducible
 from .graph import ComparisonGraph, _frontier, _ratio_inconsistency, enumerate_cycles
 from .indices import (
     DEFAULT_ALPHA,
@@ -52,8 +53,9 @@ class Tables(NamedTuple):
     vertex-edge incidence.  Cycle and path rows hold signed hop counts
     per slot (so ``rows @ logvals`` is the log cycle ratio / path
     product), and the ``need`` words are bitmasks of the slots a cycle
-    or path uses.  Paths are grouped by pair; ``path_starts`` are the
-    reduceat boundaries in lexicographic pair order.
+    or path uses.  Paths are grouped by pair in lexicographic pair
+    order, and ``path_starts`` holds each group's first index; every
+    pair of K_n has the same number of paths, so the groups are equal.
 
     The compact slot tables ``cyc_slots`` (n x cycles) and
     ``path_slots`` ((n - 1) x paths) hold, per hop, the unsigned slot id
@@ -181,8 +183,9 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
     is alive exactly in rows 0 .. life - 1, its life being the least
     life over the slots it uses.  Per-life statistics, accumulated in
     reverse, then give every row in one O(cycles + paths) pass.  Other
-    rows (independent removal sets) are scored row by row against the
-    slot bitmasks.
+    rows (independent removal sets) test every cycle and path against
+    the slot bitmasks: the cycle statistics row by row, SH from each
+    pair's paths ranked by product once.
     """
     n = t.n
     masks = np.asarray(masks, dtype=bool)
@@ -193,9 +196,14 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
     ks = _ratio_inconsistency(np.exp(t.cyc_rows @ logvals))
     pi = np.exp(t.path_rows @ logvals)
 
-    # log least-squares weights for every mask row in one batched solve
+    # log least-squares weights for every mask row in one batched solve; the
+    # Laplacian's off-diagonals are 0.0 - w, so a missing slot writes +0.0
     w_edge = masks.astype(float)
-    lap = np.einsum("ie,re,je->rij", t.binc, w_edge, t.binc)
+    deg = masks @ np.abs(t.binc).T  # (R, n) defined off-diagonal count per row
+    diag = np.arange(n)
+    lap = np.zeros((rows, n, n))
+    lap[:, t.iu, t.ju] = lap[:, t.ju, t.iu] = 0.0 - w_edge
+    lap[:, diag, diag] = deg
     rhs = (w_edge * logvals[None, :]) @ t.binc.T
     x = np.zeros((rows, n))
     x[:, 1:] = np.linalg.solve(lap[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
@@ -208,8 +216,6 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
     b0 = np.zeros((rows, n, n))
     b0[:, t.iu, t.ju] = np.where(masks, np.exp(logvals)[None, :], 0.0)
     b0[:, t.ju, t.iu] = np.where(masks, np.exp(-logvals)[None, :], 0.0)
-    deg = masks @ np.abs(t.binc).T  # (R, n) defined off-diagonal count per row
-    diag = np.arange(n)
 
     harker = b0.copy()
     harker[:, diag, diag] = 1.0 + (n - 1) - deg
@@ -247,16 +253,34 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
 
 
 def _by_mask(t, ks, pi, masks):
-    """(Ktilde, I1, I2, SH) per row, testing every cycle and path against the row."""
+    """(Ktilde, I1, I2, SH) per row, testing every cycle and path against the row.
+
+    Every pair of K_n has the same number of paths, so the products are
+    an (E, per) array; each pair's paths are ranked by product once per
+    chain, and a row's SH extremes are the first and the last path of
+    the pair that the row keeps.  A row in which some pair keeps no
+    path is disconnected and raises NotIrreducible.
+    """
     rows, ecount = masks.shape
+    sizes = np.diff(t.path_starts, append=pi.size)
+    per = int(sizes[0])
+    if (sizes != per).any():
+        raise ValueError("the path table must hold the same number of paths for every pair")
     bits = (masks.astype(np.uint64) << np.arange(ecount, dtype=np.uint64)).sum(axis=1)
     cyc_ok = (t.cyc_need[None, :] & ~bits[:, None]) == 0
-    path_ok = (t.path_need[None, :] & ~bits[:, None]) == 0
     stats = np.empty((4, rows))
     for q in range(rows):
-        lo = np.minimum.reduceat(np.where(path_ok[q], pi, np.inf), t.path_starts)
-        hi = np.maximum.reduceat(np.where(path_ok[q], pi, -np.inf), t.path_starts)
-        stats[:, q] = (*_cycle_stats(ks[cyc_ok[q]]), _sh(t.n, lo, hi))
+        stats[:3, q] = _cycle_stats(ks[cyc_ok[q]])
+
+    # each pair's paths in rising product order, as indices into the path table
+    pair = np.arange(ecount)
+    ranked = np.argsort(pi.reshape(ecount, per), axis=1) + (pair * per)[:, None]
+    alive = (t.path_need[ranked][None, :, :] & ~bits[:, None, None]) == 0
+    first = alive.argmax(axis=2)
+    if not alive[np.arange(rows)[:, None], pair, first].all():
+        raise NotIrreducible("a mask row leaves some pair without a path")
+    last = per - 1 - alive[:, :, ::-1].argmax(axis=2)
+    stats[3] = _sh(t.n, pi[ranked[pair, first]], pi[ranked[pair, last]])
     return stats
 
 

@@ -162,7 +162,14 @@ def _bridges(n, adj):
     BFS edge joins depths at most one apart, so no vertex below x can
     touch p.  A non-tree edge closes a cycle with the tree, so it is
     never a bridge.  O(n) integer operations, no recursion.
+
+    A graph that lacks at most n - 3 edges of K_n is answered before the
+    search: every cut of K_n has at least n - 1 edges, so each of its
+    cuts keeps two of them and no edge is a bridge.
     """
+    # the degrees sum to twice the edge count
+    if sum(a.bit_count() for a in adj) >= n * (n - 1) - 2 * (n - 3):
+        return set()
     parent = [0] * n
     order = [0]
     seen = 1

@@ -1,5 +1,6 @@
 """Shared fixtures: small hand matrices, brute-force reference enumerators,
-a depth-first cycle search and longhand cycle and path products.
+a depth-first cycle search, longhand cycle and path products and a
+row-by-row mask route.
 
 The brute-force helpers here deliberately do NOT reuse the library's
 graph code: they generate candidate vertex sequences by raw
@@ -7,7 +8,8 @@ permutation filtering, so the production enumerators are checked
 against an independent route.  The depth-first cycle search is the
 order and budget oracle of the library's frontier search.  The
 longhand products multiply raw entries hop by hop, where the library
-sums log-entries.
+sums log-entries.  The row-by-row mask route reduces each row's surviving
+path products pair by pair, where the library ranks them once per chain.
 """
 
 from itertools import combinations, permutations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from pcindex import CycleCapExceeded, PCMatrix, graph, parse_matrix
+from pcindex.indices import _cycle_stats, _sh
 
 # one line per acceptance criterion, echoed in the terminal summary so the
 # verdicts are visible even when everything passes under output capture
@@ -235,3 +238,23 @@ def cycle_inconsistency(m, v):
     """min(|1 - R|, |1 - 1/R|) for the ratio R of the cycle through vertices v; in [0, 1)."""
     r = cycle_ratio(m, v)
     return min(abs(1.0 - r), abs(1.0 - 1.0 / r))
+
+
+def mask_route_by_row(t, ks, pi, masks):
+    """(Ktilde, I1, I2, SH) per mask row, one row at a time: the oracle of ``_fast._by_mask``.
+
+    Each row tests every cycle and path against its slot bitmask and
+    reduces the kept path products of each pair with ``np.where`` and
+    ``reduceat`` at ``t.path_starts``.  A pair that keeps no path gives
+    lo = inf and hi = -inf, so that row's SH is not finite.
+    """
+    rows, ecount = masks.shape
+    bits = (masks.astype(np.uint64) << np.arange(ecount, dtype=np.uint64)).sum(axis=1)
+    cyc_ok = (t.cyc_need[None, :] & ~bits[:, None]) == 0
+    path_ok = (t.path_need[None, :] & ~bits[:, None]) == 0
+    stats = np.empty((4, rows))
+    for q in range(rows):
+        lo = np.minimum.reduceat(np.where(path_ok[q], pi, np.inf), t.path_starts)
+        hi = np.maximum.reduceat(np.where(path_ok[q], pi, -np.inf), t.path_starts)
+        stats[:, q] = (*_cycle_stats(ks[cyc_ok[q]]), _sh(t.n, lo, hi))
+    return stats

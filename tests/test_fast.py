@@ -1,7 +1,9 @@
 """The experiment's per-n tables: built by the numpy frontier of ``graph``
 over K_n, and checked against depth-first enumerators, which serve as the
 independent oracle of the table route: the cycle search in ``conftest``
-and ``graph.enumerate_paths``."""
+and ``graph.enumerate_paths``.  The mask route that scores rows from the
+tables is checked bit for bit against the row-by-row route in
+``conftest``, and every index row of a fixed set of chains is pinned."""
 
 import hashlib
 import time
@@ -10,9 +12,10 @@ import numpy as np
 import pytest
 
 from pcindex import _fast, graph
-from pcindex.core import PCMatrix
-from pcindex.graph import MAX_STEPS, CycleCapExceeded, build_graph, enumerate_paths
-from tests.conftest import dfs_cycles
+from pcindex.core import NotIrreducible, PCMatrix
+from pcindex.graph import MAX_STEPS, CycleCapExceeded, _ratio_inconsistency, build_graph, enumerate_paths
+from pcindex.montecarlo import _chain_masks
+from tests.conftest import dfs_cycles, mask_route_by_row
 
 # SHA-256 over every Tables field (see _digest), taken from the tables the
 # depth-first enumerators built
@@ -24,6 +27,10 @@ TABLE_SHA256 = {
     7: "66acff5a3434d0b2b348dde07fdb0a91c65467b5aae2aeeebe791b5cea548893",
     8: "9b4e59726d69cd194fa51b24a72ac8e745f9917df18d44460a9c1df94da9dd27",
 }
+
+# SHA-256 of _row_digest's index rows, taken while the mask route still
+# reduced every row's paths with np.where and reduceat
+ROW_SHA256 = "4ec1a6537a027b2037754092f8f90a48a26c2c9cd7e514d5153633b5fb84a1a0"
 
 
 def _digest(t):
@@ -92,3 +99,75 @@ def test_k9_tables_exceed_the_budget_quickly():
     with pytest.raises(CycleCapExceeded, match="cycle search exceeded %d steps" % MAX_STEPS):
         _fast.get_tables(9)
     assert time.perf_counter() - start < 1.0
+
+
+def _row_digest():
+    """SHA-256 over the raw indices_for_masks rows of nested, reversed and independent chains.
+
+    n = 3..8, consistent and disturbed log-values, every chain down to a
+    spanning tree.  A nested chain takes the survival route; the same
+    rows reversed and the independent chains take the mask route.
+    """
+    h = hashlib.sha256()
+    for n in range(3, 9):
+        t = _fast.get_tables(n)
+        spare = len(t.pairs) - (n - 1)
+        rng = np.random.default_rng((1600, n))
+        for disturbed in (False, True):
+            for _ in range(3):
+                lv = _fast.consistent_logvals(t, rng.uniform(-1.1, 1.1, n))
+                if disturbed:
+                    lv = lv + np.log(rng.uniform(1.0 / 7.0, 7.0, lv.size))
+                for independent in (False, True):
+                    masks = _chain_masks(n, t.pairs, spare, rng, independent)
+                    for rows in (masks, masks[::-1]):
+                        h.update(_fast.indices_for_masks(t, lv, rows).tobytes())
+    return h.hexdigest()
+
+
+def test_index_rows_hold_their_pinned_bytes():
+    assert _row_digest() == ROW_SHA256
+
+
+def _products(t, logvals):
+    return _ratio_inconsistency(np.exp(t.cyc_rows @ logvals)), np.exp(t.path_rows @ logvals)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_mask_route_equals_the_row_by_row_route(n):
+    t = _fast.get_tables(n)
+    spare = len(t.pairs) - (n - 1)
+    rng = np.random.default_rng(1610 + n)
+    logw = rng.integers(-3, 4, n).astype(float)
+    cases = {
+        "disturbed": _fast.consistent_logvals(t, logw) + rng.normal(0.0, 1.0, len(t.pairs)),
+        # integer log-weights: every path of a pair has exactly the same product
+        "tied": _fast.consistent_logvals(t, logw),
+    }
+    for name, logvals in cases.items():
+        ks, pi = _products(t, logvals)
+        for independent in (True, False):
+            masks = _chain_masks(n, t.pairs, spare, rng, independent)
+            for rows in (masks, masks[::-1], masks[:1], masks[-1:]):
+                want = mask_route_by_row(t, ks, pi, rows)
+                assert np.isfinite(want).all(), name
+                got = _fast._by_mask(t, ks, pi, rows)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_mask_route_refuses_a_disconnected_row(n):
+    t = _fast.get_tables(n)
+    rng = np.random.default_rng(1620 + n)
+    ks, pi = _products(t, rng.normal(0.0, 1.0, len(t.pairs)))
+    masks = _chain_masks(n, t.pairs, len(t.pairs) - (n - 1), rng, True)
+    cut = masks[-1].copy()
+    cut[[s for s, p in enumerate(t.pairs) if n - 1 in p]] = False  # vertex n - 1 alone
+    rows = np.vstack([masks[:2], cut])
+    # the row-by-row route reads the missing pairs' extremes as inf and -inf
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(mask_route_by_row(t, ks, pi, rows)[3, 2])
+    with pytest.raises(NotIrreducible):
+        _fast._by_mask(t, ks, pi, rows)
+    with pytest.raises(NotIrreducible):
+        _fast._by_mask(t, ks, pi, cut[None, :])

@@ -181,6 +181,31 @@ def test_bridges_match_definition(n):
         assert _bridges(n, _adjacency(n, edges)) == _bridges_by_definition(n, edges)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_bridges_of_near_complete_graphs(n):
+    """K_n minus at most n - 3 edges has no bridge; minus n - 2 at one vertex it has one.
+
+    (At n = 3 the n - 2 missing edges leave a path, both of whose edges
+    are bridges.)
+    """
+    full = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    pairs = sorted(full)
+    rng = np.random.default_rng(900 + n)
+    graphs = []
+    for missing in range(n - 2):
+        for _ in range(10):
+            graphs.append(full - {pairs[s] for s in rng.choice(len(pairs), missing, replace=False)})
+        # all of them at one vertex, which keeps two of its edges
+        graphs.append(full - {(0, v) for v in range(1, missing + 1)})
+    for edges in graphs:
+        assert _bridges(n, _adjacency(n, edges)) == set() == _bridges_by_definition(n, edges)
+    for v in range(n):
+        u = (v + 1 + int(rng.integers(n - 1))) % n
+        edges = full - {p for p in full if v in p and u not in p}
+        bridges = {(min(u, v), max(u, v))} if n > 3 else edges
+        assert _bridges(n, _adjacency(n, edges)) == bridges == _bridges_by_definition(n, edges)
+
+
 def _state_bytes(rng):
     st = rng.bit_generator.state
     return repr(
