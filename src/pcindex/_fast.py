@@ -14,7 +14,10 @@ The tables are built by the level-synchronous numpy frontier of
 ``graph`` over the complete graph: the cycles are
 ``graph.enumerate_cycles`` of K_n, under its step budget, and the paths
 come from the same frontier with no budget and no closing test.  No
-walk becomes a Python object.  A test asserts that the tables list
+walk becomes a Python object: a level gathers whole walk rows as
+``np.void`` items, the paths are ordered by one integer sort key, and
+the hop tables are written one hop at a time, so no temporary is as
+large as the tables.  A test asserts that the tables list
 exactly the cycles and paths of the depth-first oracle in the tests, in
 its order, for n = 3..8.  The numeric agreement with the
 reference route is pinned separately by tests that run both routes on
@@ -30,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NotIrreducible
-from .graph import ComparisonGraph, _frontier, _ratio_inconsistency, enumerate_cycles
+from .graph import ComparisonGraph, _frontier, _ratio_inconsistency, _take_rows, enumerate_cycles
 from .indices import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -87,7 +90,10 @@ def get_tables(n):
 
     Raises CycleCapExceeded when ``graph.enumerate_cycles`` of K_n takes
     more than ``graph.MAX_STEPS`` steps, that is for n > 8, before
-    building any path.
+    building any path.  The frontier's levels are whole-row gathers
+    (``graph._take_rows``); the hop tables take one pass per hop, which
+    looks up each hop's slot, sign and need bit at the flat index
+    a * (n + 1) + b and writes only the hops a walk takes.
     """
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     ecount = len(pairs)
@@ -97,25 +103,39 @@ def get_tables(n):
     binc[iu, np.arange(ecount)] = 1.0
     binc[ju, np.arange(ecount)] = -1.0
 
-    # hop (a, b) -> slot id and sign; vertex n pads short walks, and any
-    # hop touching it lands on the padding slot E with sign 0
+    # hop (a, b) -> slot id and sign at flat index a * (n + 1) + b; vertex n
+    # pads short walks, and any hop touching it lands on the padding slot E,
+    # with sign 0 and need bit 0
     slot_type = np.min_scalar_type(ecount)
     slot_of = np.full((n + 1, n + 1), ecount, dtype=slot_type)
     sign_of = np.zeros((n + 1, n + 1))
     slot_of[iu, ju] = slot_of[ju, iu] = np.arange(ecount)
     sign_of[iu, ju] = 1.0
     sign_of[ju, iu] = -1.0
+    slot_flat = slot_of.reshape(-1)
+    sign_flat = sign_of.reshape(-1)
+    bit_of = np.append(np.uint64(1) << np.arange(ecount, dtype=np.uint64), np.uint64(0))
 
     def hop_table(walks):
-        """Slot ids (width x walks), dense signed rows and need words of padded vertex walks."""
-        v = walks.T
-        ids = np.ascontiguousarray(slot_of[v[:-1], v[1:]])
-        used = ids < ecount
-        obj = np.broadcast_to(np.arange(len(walks)), ids.shape)[used]
-        rows = np.zeros((len(walks), ecount))
-        rows[obj, ids[used]] = sign_of[v[:-1], v[1:]][used]
-        bits = np.where(used, np.uint64(1) << ids.astype(np.uint64), np.uint64(0))
-        return ids, rows, np.bitwise_or.reduce(bits, axis=0)
+        """Slot ids (width x walks), dense signed rows and need words of padded vertex walks.
+
+        One pass per hop: its slots and signs come from the flat lookups,
+        and only the hops that a walk really takes are written to ``rows``.
+        """
+        count, width = walks.shape[0], walks.shape[1] - 1
+        v = np.ascontiguousarray(walks.T)
+        ids = np.empty((width, count), dtype=slot_type)
+        rows = np.zeros((count, ecount))
+        need = np.zeros(count, dtype=np.uint64)
+        row_start = np.arange(0, count * ecount, ecount)
+        for h in range(width):
+            hop = np.multiply(v[h], n + 1, dtype=np.intp)
+            hop += v[h + 1]
+            ids[h] = slot = slot_flat.take(hop)
+            used = np.flatnonzero(slot < ecount)
+            rows.reshape(-1)[row_start[used] + slot[used]] = sign_flat.take(hop[used])
+            need |= bit_of.take(slot)
+        return ids, rows, need
 
     k_n = ComparisonGraph(n, np.ones((n, n), dtype=bool))
     cyc_slots, cyc_rows, cyc_need = hop_table(enumerate_cycles(k_n))
@@ -147,20 +167,26 @@ def _path_walks(n):
     One frontier from every start i covers every end j above it: each
     walk that ends above its start is a path.  The rows are sorted by
     start, end and vertex sequence, that is by pair in slot order and
-    within a pair as ``enumerate_paths`` lists them.  The search has no
-    budget of its own; ``get_tables`` builds the cycles first, and their
-    budget already refuses every n > 8.
+    within a pair as ``enumerate_paths`` lists them, by one int64 key
+    that holds start, end and the vertex sequence as digits in base
+    n + 1.  The search has no budget of its own; ``get_tables`` builds
+    the cycles first, and their budget already refuses every n > 8.
     """
     out = []
     ends = []
     for k, walks in _frontier(~np.eye(n, dtype=bool), range(n - 1), above=False):
-        done = walks[walks[:, k] > walks[:, 0]]
-        out.append(done[:, :n])
-        ends.append(done[:, k])
+        done = np.flatnonzero(walks[:, k] > walks[:, 0])
+        out.append(_take_rows(walks, done)[:, :n])
+        ends.append(walks[done, k])
     v = np.concatenate(out)
     end = np.concatenate(ends)
-    order = np.lexsort((*v.T[:0:-1], end, v[:, 0]))
-    return v[order], end[order]
+    # the n + 1 digits fit an int64 for n <= 14
+    assert (n + 1) ** (n + 1) < 2**63
+    key = v[:, 0].astype(np.int64) * (n + 1) + end
+    for col in v.T[1:]:
+        key = key * (n + 1) + col
+    order = np.argsort(key)
+    return _take_rows(v, order), end[order]
 
 
 def consistent_logvals(t, logw):
@@ -173,7 +199,8 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
 
     ``logvals`` is the (E,) log-entry vector of the underlying complete
     matrix; ``masks`` is (R, E) boolean, True where the comparison is
-    kept.  Every mask row must describe a connected graph.  Returns an
+    kept.  Every mask row must describe a connected graph; a row that
+    does not raises NotIrreducible, on either route below.  Returns an
     (R, 14) float array whose columns follow INDEX_NAMES.
 
     The cycle family and SH take one of two routes, chosen from the
@@ -195,6 +222,9 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
 
     ks = _ratio_inconsistency(np.exp(t.cyc_rows @ logvals))
     pi = np.exp(t.path_rows @ logvals)
+    # first, so a disconnected row is refused before the solve sees it
+    nested = not (masks[1:] & ~masks[:-1]).any()
+    kt, i1, i2, sh = (_by_survival if nested else _by_mask)(t, ks, pi, masks)
 
     # log least-squares weights for every mask row in one batched solve; the
     # Laplacian's off-diagonals are 0.0 - w, so a missing slot writes +0.0
@@ -231,9 +261,6 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
     dmask[:, t.ju, t.iu] = masks
     dmask[:, diag, diag] = True
     gw = _gw(vfull, dmask, w)
-
-    nested = not (masks[1:] & ~masks[:-1]).any()
-    kt, i1, i2, sh = (_by_survival if nested else _by_mask)(t, ks, pi, masks)
 
     out = np.empty((rows, 14))
     out[:, 0] = kt
@@ -289,7 +316,9 @@ def _by_survival(t, ks, pi, masks):
 
     Row q sees exactly the cycles and paths whose life exceeds q, so
     each statistic is binned by life once and summed (or maxed, or
-    minned) over the bins above q by a reverse accumulation.
+    minned) over the bins above q by a reverse accumulation.  A row in
+    which some pair keeps no path is disconnected and raises
+    NotIrreducible.
     """
     rows, ecount = masks.shape
     life = np.append(masks.sum(axis=0), rows).astype(np.min_scalar_type(rows))
@@ -311,6 +340,8 @@ def _by_survival(t, ks, pi, masks):
     np.maximum.at(hi, cell, pi)
     lo = _tail(np.minimum, lo.reshape(bins, ecount))
     hi = _tail(np.maximum, hi.reshape(bins, ecount))
+    if np.isinf(lo).any():
+        raise NotIrreducible("a mask row leaves some pair without a path")
     return kt, i1, i2, _sh(t.n, lo, hi)
 
 

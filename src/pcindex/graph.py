@@ -142,11 +142,13 @@ def _frontier(adj, roots, above, max_steps=math.inf):
     only vertices above its root.  Each level extends every walk of the
     last one by every neighbour of its last vertex that it may still
     enter, found with one gather of adjacency rows against the walks'
-    boolean rows of enterable vertices and ``np.nonzero``, so the
+    boolean rows of enterable vertices and ``np.flatnonzero``, so the
     children of a walk follow in vertex order.  The walks past the roots
-    are the steps a depth-first search takes; once their count passes
-    ``max_steps`` the search raises CycleCapExceeded, before that level
-    is built.  It stops at the first empty level.
+    are the steps a depth-first search takes; the new level's walks are
+    counted first, and once the steps pass ``max_steps`` the search
+    raises CycleCapExceeded before anything of that level is allocated.
+    A level then gathers each parent's walk row and enterable row as one
+    ``np.void`` item (``_take_rows``).  It stops at the first empty level.
     """
     n = len(adj)
     vertex = np.arange(n)
@@ -155,18 +157,28 @@ def _frontier(adj, roots, above, max_steps=math.inf):
     enterable = vertex > walks[:, :1] if above else vertex != walks[:, :1]
     steps = 0
     for k in range(1, n):
-        free = adj[walks[:, k - 1]] & enterable
-        steps += np.count_nonzero(free)
+        free = adj.take(walks[:, k - 1], axis=0) & enterable
+        count = np.count_nonzero(free)
+        steps += count
         if steps > max_steps:
             raise CycleCapExceeded("cycle search exceeded %d steps" % max_steps)
-        parent, u = np.nonzero(free)
-        if not len(u):
+        if not count:
             return
-        walks = walks[parent]
+        flat = np.flatnonzero(free)
+        parent = flat // n
+        u = flat - parent * n
+        walks = _take_rows(walks, parent)
         walks[:, k] = u
-        enterable = enterable[parent]
-        enterable[np.arange(len(u)), u] = False
+        enterable = _take_rows(enterable, parent)
+        # clear each child's entered vertex at its flat index
+        enterable.reshape(-1)[np.arange(0, count * n, n) + u] = False
         yield k, walks
+
+
+def _take_rows(a, index):
+    """``a[index]`` for a C-contiguous 2-D array, each row taken as one np.void item."""
+    row = np.dtype((np.void, a.shape[1] * a.itemsize))
+    return a.view(row).take(index).view(a.dtype).reshape(len(index), a.shape[1])
 
 
 def enumerate_paths(g, i, j):

@@ -1,12 +1,13 @@
 """Shared fixtures: small hand matrices, brute-force reference enumerators,
-a depth-first cycle search, longhand cycle and path products and a
-row-by-row mask route.
+a depth-first cycle search, a longhand walk enumeration, longhand cycle
+and path products and a row-by-row mask route.
 
 The brute-force helpers here deliberately do NOT reuse the library's
 graph code: they generate candidate vertex sequences by raw
 permutation filtering, so the production enumerators are checked
 against an independent route.  The depth-first cycle search is the
-order and budget oracle of the library's frontier search.  The
+order and budget oracle of the library's cycle search, and the longhand
+walk enumeration that of its frontier, level by level.  The
 longhand products multiply raw entries hop by hop, where the library
 sums log-entries.  The row-by-row mask route reduces each row's surviving
 path products pair by pair, where the library ranks them once per chain.
@@ -184,6 +185,33 @@ def dfs_cycles(g, max_steps=None):
                     break
                 walk = stack.pop()
                 on_path.remove(path.pop())
+    return out
+
+
+def longhand_walks(adj, roots, above):
+    """(k, walks) for every level of simple walks over ``adj``, in plain Python: the frontier's oracle.
+
+    Level k extends each walk of level k - 1, in order, by each
+    neighbour of its last vertex that the walk has not visited (and,
+    with ``above``, that lies above its root), in vertex order.  The
+    levels stop before the first empty one; each is an array padded
+    with n, in the smallest unsigned dtype that holds n.
+    """
+    n = len(adj)
+    level = [[r] for r in roots]
+    out = []
+    for k in range(1, n):
+        level = [
+            w + [u]
+            for w in level
+            for u in range(n)
+            if adj[w[-1]][u] and u not in w and (u > w[0] or not above)
+        ]
+        if not level:
+            break
+        walks = np.full((len(level), n + 1), n, dtype=np.min_scalar_type(n))
+        walks[:, : k + 1] = level
+        out.append((k, walks))
     return out
 
 

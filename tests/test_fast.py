@@ -7,6 +7,7 @@ tables is checked bit for bit against the row-by-row route in
 
 import hashlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -171,3 +172,22 @@ def test_mask_route_refuses_a_disconnected_row(n):
         _fast._by_mask(t, ks, pi, rows)
     with pytest.raises(NotIrreducible):
         _fast._by_mask(t, ks, pi, cut[None, :])
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_disconnected_rows_are_refused_on_both_routes(n):
+    t = _fast.get_tables(n)
+    rng = np.random.default_rng(1800 + n)
+    full = np.ones(len(t.pairs), dtype=bool)
+    for _ in range(20):
+        # two vertex groups with no comparison between them
+        group = rng.permutation(n) < rng.integers(1, n)
+        cross = group[t.iu] != group[t.ju]
+        cut = ~cross & (rng.random(len(t.pairs)) < 0.7)
+        logvals = _fast.consistent_logvals(t, rng.uniform(-1.0, 1.0, n)) + rng.normal(0.0, 0.5, len(t.pairs))
+        # a single row and nested chains take the survival route, the last the mask route
+        for rows in ([cut], [full, cut], [full, cut | cross, cut], [cut, full]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotIrreducible):
+                    _fast.indices_for_masks(t, logvals, np.array(rows))

@@ -1,5 +1,8 @@
 """Comparison graph, cycle/path enumeration, cycle quantities."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from tests.conftest import (
     cycle_vertices,
     dfs_cycles,
     label,
+    longhand_walks,
     path_product,
     random_complete,
     random_pattern,
@@ -188,6 +192,62 @@ def test_frontier_and_depth_first_search_share_the_k8_budget(monkeypatch):
     for search in (enumerate_cycles, dfs_cycles):
         with pytest.raises(CycleCapExceeded, match="exceeded 16063 steps"):
             search(k8)
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_frontier_levels_equal_the_longhand_walks(n, above):
+    rng = np.random.default_rng((18, n, above))
+    for density in (0.25, 0.5, 0.75, 1.0) if n <= 7 else (0.2, 0.4):
+        for _ in range(2):
+            adj = np.triu(rng.random((n, n)) < density, 1)
+            adj |= adj.T
+            got = list(graph._frontier(adj, range(n), above))
+            want = longhand_walks(adj, range(n), above)
+            assert [k for k, _ in got] == [k for k, _ in want]
+            for (_, g), (_, w) in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape and (g == w).all()
+
+
+def test_frontier_refuses_at_the_longhand_step():
+    # K7 from every root, with the budget ending just before and just at the
+    # end of each level: the frontier yields exactly the levels that fit
+    adj = ~np.eye(7, dtype=bool)
+    steps = np.cumsum([len(w) for _, w in longhand_walks(adj, range(7), above=False)])
+    for level, end in enumerate(steps.tolist(), start=1):
+        for budget, fit in ((end - 1, level - 1), (end, level)):
+            seen = []
+            refusal = None
+            try:
+                for k, _ in graph._frontier(adj, range(7), False, max_steps=budget):
+                    seen.append(k)
+            except CycleCapExceeded as exc:
+                refusal = exc.args
+            assert seen == list(range(1, fit + 1))
+            if budget < steps[-1]:
+                assert refusal == ("cycle search exceeded %d steps" % budget,)
+            else:
+                assert refusal is None
+
+
+def test_frontier_refuses_a_large_level_before_building_it():
+    # K64: 4032 one-hop walks fit a budget of 10000, the 249,984 two-hop walks
+    # (16 MB of walk rows alone) do not
+    adj = ~np.eye(64, dtype=bool)
+    levels = []
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CycleCapExceeded, match="^cycle search exceeded 10000 steps$"):
+            for k, walks in graph._frontier(adj, range(64), above=False, max_steps=10000):
+                levels.append((k, len(walks)))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert levels == [(1, 4032)]
+    assert peak < 4 * 2**20
+    assert elapsed < 1.0
 
 
 def test_path_count_complete7():
