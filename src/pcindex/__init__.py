@@ -21,7 +21,6 @@ from .core import (
     validate,
 )
 from .graph import (
-    ComparisonGraph,
     CycleCapExceeded,
     NoPath,
     Path,

@@ -12,7 +12,8 @@ chain is evaluated with array arithmetic.
 
 The tables are built by the level-synchronous numpy frontier of
 ``graph`` over the complete graph: the cycles are
-``graph.enumerate_cycles`` of K_n, under its step budget, and the paths
+``graph.enumerate_cycles`` of K_n's boolean adjacency
+``~np.eye(n, dtype=bool)``, under its step budget, and the paths
 come from the same frontier with no budget and no closing test.  No
 walk becomes a Python object: a level gathers whole walk rows as
 ``np.void`` items, the paths are ordered by one integer sort key, and
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NotIrreducible
-from .graph import ComparisonGraph, _frontier, _ratio_inconsistency, _take_rows, enumerate_cycles
+from .graph import _frontier, _ratio_inconsistency, _take_rows, enumerate_cycles
 from .indices import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
@@ -137,8 +138,7 @@ def get_tables(n):
             need |= bit_of.take(slot)
         return ids, rows, need
 
-    k_n = ComparisonGraph(n, np.ones((n, n), dtype=bool))
-    cyc_slots, cyc_rows, cyc_need = hop_table(enumerate_cycles(k_n))
+    cyc_slots, cyc_rows, cyc_need = hop_table(enumerate_cycles(~np.eye(n, dtype=bool)))
     paths, ends = _path_walks(n)
     path_slots, path_rows, path_need = hop_table(paths)
     path_pair = slot_of[paths[:, 0], ends]

@@ -162,12 +162,9 @@ class PCMatrix:
         d.flags.writeable = False
         self._values = v
         self._defined = d
-        off = d.copy()
-        np.fill_diagonal(off, False)
-        dv = v[off]
-        self.exceeds_scale = bool(
-            dv.size and ((dv > SCALE_S).any() or (dv < 1.0 / SCALE_S).any())
-        )
+        # the diagonal's 1.0 lies inside the scale, so it never raises the flag
+        dv = v[d]
+        self.exceeds_scale = bool((dv > SCALE_S).any() or (dv < 1.0 / SCALE_S).any())
 
     @property
     def n(self):

@@ -7,10 +7,14 @@ irreducible).  Cycles are the carriers of inconsistency: the product of
 labels around a simple cycle equals 1 iff the judgments along it are
 mutually consistent.
 
-Cycles are listed by a level-synchronous numpy frontier (``_frontier``)
-that never makes a Python object per walk; the experiment's tables in
-``_fast`` come from the same frontier over the complete graph.  Paths
-between one pair are listed by a depth-first search.
+The graph has one form: the boolean n x n adjacency that ``build_graph``
+returns, which is the matrix's definedness mask with the diagonal
+cleared, and every function here takes it.  Connectivity and the path
+search read it as neighbour lists (``_neighbours``).  Cycles are listed
+by a level-synchronous numpy frontier (``_frontier``) that never makes a
+Python object per walk; the experiment's tables in ``_fast`` come from
+the same frontier over the complete graph.  Paths between one pair are
+listed by a depth-first search.
 """
 
 import math
@@ -21,7 +25,6 @@ import numpy as np
 from .core import PCError
 
 __all__ = [
-    "ComparisonGraph",
     "Path",
     "CycleCapExceeded",
     "NoPath",
@@ -52,57 +55,39 @@ class Path(NamedTuple):
     vertices: tuple
 
 
-class ComparisonGraph:
-    """Undirected view of a PC matrix (one edge per defined pair)."""
-
-    def __init__(self, n, defined):
-        self.n = n
-        edges = []
-        adj = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if defined[i, j]:
-                    edges.append((i, j))
-                    adj[i].append(j)
-                    adj[j].append(i)
-        self.edges = tuple(edges)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-
-    def neighbors(self, i):
-        return self._adj[i]
-
-    def __repr__(self):
-        return "ComparisonGraph(n=%d, edges=%d)" % (self.n, len(self.edges))
-
-
 def build_graph(m):
-    """ComparisonGraph of a PCMatrix; edges are its defined pairs."""
-    return ComparisonGraph(m.n, m.defined)
+    """Boolean adjacency of a PCMatrix's comparison graph: its defined cells, diagonal cleared."""
+    adj = m.defined.copy()
+    np.fill_diagonal(adj, False)
+    return adj
 
 
-def is_irreducible(g):
-    """True iff the comparison graph is connected.
+def _neighbours(adj):
+    """Each vertex's neighbours under the boolean adjacency ``adj``, as lists in vertex order."""
+    return [[u for u, arc in enumerate(row) if arc] for row in adj.tolist()]
+
+
+def is_irreducible(adj):
+    """True iff every vertex is reachable from vertex 0 along the arcs of ``adj``.
 
     For reciprocal matrices every defined comparison contributes both
-    directed arcs, so undirected connectivity coincides with strong
-    connectivity of the directed labeling.
+    directed arcs, so on a comparison graph this is connectivity, and
+    connectivity coincides with strong connectivity of the directed
+    labeling.  A directed pattern is strongly connected exactly when
+    this holds for it and for its transpose.
     """
-    n = g.n
-    seen = [False] * n
+    nbrs = _neighbours(adj)
+    seen = {0}
     stack = [0]
-    seen[0] = True
-    count = 1
     while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if not seen[u]:
-                seen[u] = True
-                count += 1
+        for u in nbrs[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
                 stack.append(u)
-    return count == n
+    return len(seen) == len(nbrs)
 
 
-def enumerate_cycles(g):
+def enumerate_cycles(adj):
     """All simple cycles (3 or more vertices), canonical, in lexicographic order.
 
     Each direction-equivalence class is returned once (a cycle and its
@@ -116,13 +101,10 @@ def enumerate_cycles(g):
     cycle is a prefix of another the first has its start, the least
     vertex, where the other goes on, so sorting the rows lists every
     cycle before its extensions, as a depth-first search would.  The
-    search is ``_frontier`` from every vertex and raises CycleCapExceeded
-    past MAX_STEPS steps.
+    search is ``_frontier`` over the boolean adjacency ``adj`` from every
+    vertex and raises CycleCapExceeded past MAX_STEPS steps.
     """
-    n = g.n
-    adj = np.zeros((n, n), dtype=bool)
-    for i, j in g.edges:
-        adj[i, j] = adj[j, i] = True
+    n = len(adj)
     out = [np.empty((0, n + 1), dtype=np.min_scalar_type(n))]
     for k, walks in _frontier(adj, range(n), above=True, max_steps=MAX_STEPS):
         # keeping second < last lists each direction class once
@@ -181,8 +163,8 @@ def _take_rows(a, index):
     return a.view(row).take(index).view(a.dtype).reshape(len(index), a.shape[1])
 
 
-def enumerate_paths(g, i, j):
-    """All simple paths from i to j, in lexicographic vertex order.
+def enumerate_paths(adj, i, j):
+    """All simple paths from i to j over the boolean adjacency ``adj``, in lexicographic vertex order.
 
     Includes the single-edge path when {i, j} is an edge.  Raises NoPath
     when the graph offers no route (it is then disconnected), and
@@ -190,14 +172,14 @@ def enumerate_paths(g, i, j):
     """
     if i == j:
         raise ValueError("endpoints must differ")
-    n = g.n
+    n = len(adj)
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("vertex out of range")
     out = []
-    adj = g._adj
+    nbrs = _neighbours(adj)
     path = [i]
     on_path = {i}
-    walk = iter(adj[i])
+    walk = iter(nbrs[i])
     stack = []
     steps = 0
     while True:
@@ -214,7 +196,7 @@ def enumerate_paths(g, i, j):
                 path.append(u)
                 on_path.add(u)
                 stack.append(walk)
-                walk = iter(adj[u])
+                walk = iter(nbrs[u])
                 break
         else:
             if not stack:

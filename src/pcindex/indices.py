@@ -261,10 +261,10 @@ def cycle_based_indices(m):
     summed hop by hop down the columns of the padded closed walks of
     ``enumerate_cycles``; a hop onto the padding vertex n reads 0.
     """
-    g = build_graph(m)
-    if not is_irreducible(g):
+    adj = build_graph(m)
+    if not is_irreducible(adj):
         raise NotIrreducible("comparison graph is disconnected")
-    walks = enumerate_cycles(g)
+    walks = enumerate_cycles(adj)
     logs = np.zeros((m.n + 1, m.n + 1))
     logs[:-1, :-1] = _log_entries(m)
     # the first hop goes in last: up to 8 hops, each sum then rounds
@@ -284,8 +284,8 @@ def sh_index_inc(m):
     (r_hi - r_lo)/((1 + r_hi)(1 + r_lo)).  Consistent matrices give zero
     spread, as does any pair connected by a single path.
     """
-    g = build_graph(m)
-    if not is_irreducible(g):
+    adj = build_graph(m)
+    if not is_irreducible(adj):
         raise NotIrreducible("comparison graph is disconnected")
     n = m.n
     logs = _log_entries(m)
@@ -293,7 +293,7 @@ def sh_index_inc(m):
     hi = []
     for i in range(n):
         for j in range(i + 1, n):
-            log_p = _walk_logs(logs, enumerate_paths(g, i, j))
+            log_p = _walk_logs(logs, enumerate_paths(adj, i, j))
             lo.append(log_p.min())
             hi.append(log_p.max())
     return float(_sh(n, np.exp(lo), np.exp(hi)))
@@ -348,13 +348,11 @@ def oliva_index(m):
     spectral radius of D^-1 (C - I) equals 1 exactly on consistent
     matrices (D is the degree matrix); the index is the excess over 1.
     """
-    if not is_irreducible(build_graph(m)):
+    adj = build_graph(m)
+    if not is_irreducible(adj):
         raise NotIrreducible("comparison graph is disconnected")
-    d = m.defined
-    s = np.where(d, m.values, 0.0) - np.eye(m.n)
-    off = d.copy()
-    np.fill_diagonal(off, False)
-    deg = off.sum(axis=1).astype(float)
+    s = np.where(m.defined, m.values, 0.0) - np.eye(m.n)
+    deg = adj.sum(axis=1).astype(float)
     rho = principal_eigen(s / deg[:, None]).value
     return max(0.0, rho - 1.0)
 

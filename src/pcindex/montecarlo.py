@@ -240,13 +240,15 @@ def remove_comparisons(m, k, rng):
     """
     n = m.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    alive = [s for s, (i, j) in enumerate(pairs) if m.defined[i, j]]
+    graph = build_graph(m)
+    rows = graph.tolist()
+    alive = [s for s, (i, j) in enumerate(pairs) if rows[i][j]]
     spare = len(alive) - (n - 1)
     if not isinstance(k, (int, np.integer)) or k < 0 or k > spare:
         raise BadK("k must lie in 0..%d for this matrix, got %r" % (max(spare, 0), k))
-    if not is_irreducible(build_graph(m)):
+    if not is_irreducible(graph):
         raise NotIrreducible("comparison graph is disconnected")
-    adj = [sum(1 << u for u in range(n) if u != v and m.defined[v, u]) for v in range(n)]
+    adj = [sum(1 << u for u, arc in enumerate(row) if arc) for row in rows]
     live = sum(1 << s for s in alive)
     defined = m.defined.copy()
     for s in _drop(pairs, _slot_bits(pairs), adj, live, k, rng):

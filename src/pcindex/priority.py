@@ -51,23 +51,6 @@ class EigenResult(NamedTuple):
     vector: np.ndarray
 
 
-def _strongly_connected(pattern):
-    """Strong connectivity of the directed nonzero pattern (boolean matrix)."""
-    n = pattern.shape[0]
-    for mat in (pattern, pattern.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            nxt = np.flatnonzero(mat[v] & ~seen)
-            seen[nxt] = True
-            stack.extend(nxt.tolist())
-        if not seen.all():
-            return False
-    return True
-
-
 def principal_eigen(A, max_iter=EIGEN_MAX_ITER):
     """Perron pair of a nonnegative irreducible matrix by power iteration.
 
@@ -79,12 +62,12 @@ def principal_eigen(A, max_iter=EIGEN_MAX_ITER):
     by at most ``EIGEN_TOL`` relative to its largest entry.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix, got shape %s" % (A.shape,))
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError("expected a nonempty square matrix, got shape %s" % (A.shape,))
     if (A < 0).any() or not np.isfinite(A).all():
         raise ValueError("matrix must be nonnegative and finite")
     n = A.shape[0]
-    if not _strongly_connected(A > 0):
+    if not (is_irreducible(A > 0) and is_irreducible(A.T > 0)):
         raise ReducibleInput("matrix has a reducible nonzero pattern")
     M = A + np.eye(n)
     v = np.full(n, 1.0 / n)
@@ -148,16 +131,15 @@ def ills(m, log=False):
     complete matrix this is exactly the geometric-mean vector; on a
     consistent matrix it reproduces every defined ratio.
     """
-    if not is_irreducible(build_graph(m)):
+    adj = build_graph(m)
+    if not is_irreducible(adj):
         raise NotIrreducible("comparison graph is disconnected")
     n = m.n
-    off = m.defined.copy()
-    np.fill_diagonal(off, False)
-    deg = off.sum(axis=1)
+    deg = adj.sum(axis=1)
     logs = np.zeros((n, n))
-    logs[off] = np.log(m.values[off])
+    logs[adj] = np.log(m.values[adj])
     g = logs.sum(axis=1)
-    lap = np.diag(deg.astype(float)) - off.astype(float)
+    lap = np.diag(deg.astype(float)) - adj.astype(float)
     try:
         x_rest = np.linalg.solve(lap[1:, 1:], g[1:])
     except np.linalg.LinAlgError as exc:

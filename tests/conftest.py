@@ -1,13 +1,15 @@
 """Shared fixtures: small hand matrices, brute-force reference enumerators,
-a depth-first cycle search, a longhand walk enumeration, longhand cycle
-and path products and a row-by-row mask route.
+a depth-first cycle search, a transitive-closure reachability test, a
+longhand walk enumeration, longhand cycle and path products and a
+row-by-row mask route.
 
 The brute-force helpers here deliberately do NOT reuse the library's
 graph code: they generate candidate vertex sequences by raw
 permutation filtering, so the production enumerators are checked
 against an independent route.  The depth-first cycle search is the
-order and budget oracle of the library's cycle search, and the longhand
-walk enumeration that of its frontier, level by level.  The
+order and budget oracle of the library's cycle search, the closure that
+of its connectivity search, and the longhand walk enumeration that of
+its frontier, level by level.  The
 longhand products multiply raw entries hop by hop, where the library
 sums log-entries.  The row-by-row mask route reduces each row's surviving
 path products pair by pair, where the library ranks them once per chain.
@@ -144,10 +146,11 @@ def brute_cycles(n, defined):
     return out
 
 
-def dfs_cycles(g, max_steps=None):
-    """Canonical simple cycles of a ComparisonGraph as vertex tuples, by depth-first search.
+def dfs_cycles(adj, max_steps=None):
+    """Canonical simple cycles of the boolean adjacency ``adj`` as vertex tuples, by depth-first search.
 
-    The search fixes the smallest cycle vertex as the start, walks only
+    It reads its own neighbour lists off ``adj``, row by row with
+    ``np.flatnonzero``, not through the library's.  The search fixes the smallest cycle vertex as the start, walks only
     vertices above it in increasing order, and keeps the direction with
     second < last, so the cycles come out in lexicographic order, each
     before its extensions.  It counts one step per vertex it adds to a
@@ -157,11 +160,13 @@ def dfs_cycles(g, max_steps=None):
     """
     if max_steps is None:
         max_steps = graph.MAX_STEPS
+    n = len(adj)
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]
     out = []
     steps = 0
-    for s in range(g.n):
-        up = [tuple(u for u in g.neighbors(v) if u > s) for v in range(g.n)]
-        closes = set(g.neighbors(s))
+    for s in range(n):
+        up = [tuple(u for u in nbrs[v] if u > s) for v in range(n)]
+        closes = set(nbrs[s])
         path = [s]
         on_path = {s}
         walk = iter(up[s])
@@ -186,6 +191,21 @@ def dfs_cycles(g, max_steps=None):
                 walk = stack.pop()
                 on_path.remove(path.pop())
     return out
+
+
+def reaches_all(adj):
+    """True iff vertex 0 reaches every vertex along the arcs of ``adj``: ``is_irreducible``'s oracle.
+
+    Takes the transitive closure by repeated boolean products: after k
+    squarings of I | adj, row 0 marks every vertex that a walk of at most
+    2^k arcs from vertex 0 reaches, and 2^k >= n - 1 covers every simple
+    path.
+    """
+    n = len(adj)
+    r = (np.asarray(adj) | np.eye(n, dtype=bool)).astype(np.int64)
+    for _ in range(n.bit_length()):
+        r = (r @ r > 0).astype(np.int64)
+    return bool(r[0].all())
 
 
 def longhand_walks(adj, roots, above):

@@ -11,11 +11,13 @@ from pcindex import (
     NoPath,
     Path,
     PCMatrix,
+    ReducibleInput,
     build_graph,
     enumerate_cycles,
     enumerate_paths,
     graph,
     is_irreducible,
+    principal_eigen,
 )
 from tests.conftest import (
     brute_cycles,
@@ -29,6 +31,7 @@ from tests.conftest import (
     path_product,
     random_complete,
     random_pattern,
+    reaches_all,
 )
 
 # canonical simple cycle counts of the complete graph, n = 3..7
@@ -41,11 +44,15 @@ def complete(n):
 
 def test_graph_basics(inc4):
     g = build_graph(inc4)
-    assert g.n == 4
-    assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
-    assert g.neighbors(0) == (1, 2, 3)
-    assert g.neighbors(2) == (0, 1)
-    assert g.neighbors(3) == (0, 1)
+    assert g.dtype == bool and g.shape == (4, 4)
+    assert not g.diagonal().any() and (g == g.T).all()
+    assert np.argwhere(np.triu(g)).tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]
+    assert np.flatnonzero(g[0]).tolist() == [1, 2, 3]
+    assert np.flatnonzero(g[2]).tolist() == [0, 1]
+    assert np.flatnonzero(g[3]).tolist() == [0, 1]
+    # a fresh array: writing it leaves the matrix's mask alone
+    g[0, 1] = False
+    assert inc4.defined[0, 1]
     assert label(inc4, 0, 1) == 2.0 / 3.0
     assert label(inc4, 1, 0) == pytest.approx(1.5)
     with pytest.raises(KeyError):
@@ -57,6 +64,32 @@ def test_is_irreducible(tri3, inc4, sparse7, disconnected4):
     assert is_irreducible(build_graph(inc4))
     assert is_irreducible(build_graph(sparse7))
     assert not is_irreducible(build_graph(disconnected4))
+
+
+def test_is_irreducible_equals_the_closure_oracle():
+    # symmetric comparison graphs and directed patterns (diagonal included)
+    rng = np.random.default_rng(20)
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 13):
+        for density in (0.1, 0.25, 0.5, 0.8):
+            for _ in range(5):
+                directed = rng.random((n, n)) < density
+                sym = np.triu(directed, 1)
+                sym |= sym.T
+                for adj in (sym, directed):
+                    want = reaches_all(adj)
+                    assert is_irreducible(adj) == want, adj
+                    verdicts[want] += 1
+    assert min(verdicts.values()) >= 100
+
+
+def test_is_irreducible_tests_reachability_from_vertex_0():
+    # 0 reaches 1 and 2, but nothing reaches 0: not strongly connected
+    p = np.zeros((3, 3), dtype=bool)
+    p[0, 1] = p[0, 2] = True
+    assert is_irreducible(p) and not is_irreducible(p.T)
+    with pytest.raises(ReducibleInput):
+        principal_eigen(p + np.eye(3))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -149,6 +182,10 @@ def test_step_budget_counts_work_not_n():
 def test_searches_do_not_recurse():
     # 1500 vertices in a row would overflow a recursive search
     g = path_graph(1500)
+    assert is_irreducible(g)
+    cut = g.copy()
+    cut[700, 701] = cut[701, 700] = False
+    assert not is_irreducible(cut)
     assert [p.vertices for p in enumerate_paths(g, 0, 1499)] == [tuple(range(1500))]
     with pytest.raises(CycleCapExceeded):
         enumerate_cycles(g)  # 1500 * 1499 / 2 steps

@@ -6,6 +6,7 @@ with the library beyond the matrix type), plus frozen hand-derived
 constants for the 3x3 fixture.
 """
 
+import hashlib
 import math
 from itertools import combinations
 
@@ -48,6 +49,10 @@ TRI3_GCI = LN2**2 / 3.0
 TRI3_LLS = 2.0 * LN2**2 / 3.0
 TRI3_ISH = 1673.0 / 16380.0  # exact fraction worked out by hand (= 239/2340)
 TRI3_GW = 0.13436494503858539  # frozen from an exact symbolic evaluation
+
+# SHA-256 of _ref_digest's index values, taken while the graph was a
+# class with edge and neighbour tuples
+REF_SHA256 = "737b52d4554d33fd61eca86a4ef7a805134fd06c688b0764993dc06bc33b0e32"
 
 
 def ref_classical(m, alpha=0.5, beta=0.3):
@@ -446,3 +451,37 @@ def test_triad_vs_cycle_biconditional_quick():
         triad_bad = classical_indices(m)["K"] > 1e-9
         cycle_bad = cycle_based_indices(m).ktilde > 1e-9
         assert triad_bad == cycle_bad
+
+
+def _ref_digest():
+    """SHA-256 over the reference route's values on a fixed seeded set, n = 3..8.
+
+    Per n: two disturbed complete, two consistent, two incomplete (half
+    the spare comparisons removed) and two spanning-tree matrices.  Every
+    matrix adds its ``all_indices`` values in INDEX_NAMES order; the
+    complete ones add their ``classical_indices`` values too, in
+    CLASSICAL_NAMES order.
+    """
+    h = hashlib.sha256()
+    for n in range(3, 9):
+        rng = np.random.default_rng((2000, n))
+        spare = n * (n - 1) // 2 - (n - 1)
+        for _ in range(2):
+            full = disturb(gen_consistent(n, rng), 5, rng)
+            cases = [
+                full,
+                gen_consistent(n, rng),
+                remove_comparisons(full, spare // 2, rng),
+                remove_comparisons(full, spare, rng),
+            ]
+            for m in cases:
+                vals = all_indices(m)
+                h.update(np.array([vals[k] for k in INDEX_NAMES]).tobytes())
+                if m.defined.all():
+                    vals = classical_indices(m)
+                    h.update(np.array([vals[k] for k in CLASSICAL_NAMES]).tobytes())
+    return h.hexdigest()
+
+
+def test_reference_values_hold_their_pinned_bytes():
+    assert _ref_digest() == REF_SHA256

@@ -46,6 +46,8 @@ def test_principal_eigen_tri3(tri3):
 def test_principal_eigen_validates_input():
     with pytest.raises(ValueError):
         principal_eigen(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="nonempty"):
+        principal_eigen(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         principal_eigen(np.array([[1.0, -1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
