@@ -12,10 +12,7 @@ from .core import (
     PCError,
     PCMatrix,
     ReciprocityViolation,
-    Triad,
-    defined_pairs,
     is_complete,
-    list_triads,
     parse_matrix,
     serialize_matrix,
     validate,

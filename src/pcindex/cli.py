@@ -11,6 +11,7 @@ configuration.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -132,7 +133,9 @@ def cmd_experiment(args):
     return 0
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(prog="pcindex", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -1,4 +1,4 @@
-"""Pairwise-comparison matrices: data model, validation, triads, text format.
+"""Pairwise-comparison matrices: data model, validation, text format.
 
 A pairwise-comparison (PC) matrix is a square positive matrix C with
 c_ii = 1 and c_ji = 1/c_ij, holding ratio judgments "alternative i is
@@ -9,8 +9,6 @@ the plain-text file format used by the CLI.
 """
 
 import re
-from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +18,6 @@ SCALE_S = 9.0  # customary judgment scale 1/9..9; exceeding it is flagged, never
 __all__ = [
     "MISSING",
     "PCMatrix",
-    "Triad",
     "PCError",
     "NonSquare",
     "BadSize",
@@ -32,8 +29,6 @@ __all__ = [
     "NotIrreducible",
     "validate",
     "is_complete",
-    "defined_pairs",
-    "list_triads",
     "parse_matrix",
     "serialize_matrix",
 ]
@@ -203,23 +198,8 @@ class PCMatrix:
         return hash((self.n, self._values.tobytes(), self._defined.tobytes()))
 
     def __repr__(self):
-        total = self.n * (self.n - 1) // 2
-        return "PCMatrix(n=%d, defined pairs=%d/%d)" % (
-            self.n,
-            len(defined_pairs(self)),
-            total,
-        )
-
-
-class Triad(NamedTuple):
-    """Three mutually compared alternatives i, k, j with all ratios defined."""
-
-    i: int
-    k: int
-    j: int
-    c_ik: float
-    c_kj: float
-    c_ij: float
+        pairs = np.count_nonzero(np.triu(self._defined, 1))
+        return "PCMatrix(n=%d, defined pairs=%d/%d)" % (self.n, pairs, self.n * (self.n - 1) // 2)
 
 
 def validate(grid):
@@ -290,29 +270,6 @@ def _first_cell(bad):
 def is_complete(m):
     """True iff no off-diagonal entry is missing."""
     return bool(m.defined.all())
-
-
-def defined_pairs(m):
-    """Unordered index pairs (i, j), i < j, with a defined comparison."""
-    n = m.n
-    d = m.defined
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if d[i, j]]
-
-
-def list_triads(m):
-    """All triads: unordered {i,k,j} with the three mutual comparisons defined.
-
-    One Triad per unordered set, at the sorted orientation i < k < j;
-    the inconsistency of a triad does not depend on the orientation
-    chosen.  A complete matrix yields C(n,3) triads.
-    """
-    d = m.defined
-    v = m.values
-    out = []
-    for p, q, r in combinations(range(m.n), 3):
-        if d[p, q] and d[q, r] and d[p, r]:
-            out.append(Triad(p, q, r, float(v[p, q]), float(v[q, r]), float(v[p, r])))
-    return out
 
 
 _FRACTION_RE = re.compile(r"^(\d+)/(\d+)$")

@@ -24,12 +24,12 @@ along the enumerated walk, gathered by numpy indexing for many walks
 at once, so no product of raw ratios is formed along the way.
 """
 
-from itertools import chain
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import NotComplete, NotIrreducible, PCError, is_complete, list_triads
+from .core import NotComplete, NotIrreducible, PCError, is_complete
 from .graph import (
     _ratio_inconsistency,
     build_graph,
@@ -202,12 +202,12 @@ def classical_indices(m):
     CI = (lambda_max - n)/(n - 1); GCI = 2/((n-1)(n-2)) * sum over i<j of
     ln^2(c_ij w_j / w_i) with geometric-mean weights; K is the largest
     triad inconsistency and I1/I2 its mean and scaled quadratic mean over
-    all C(n,3) triads; Ialpha and Ialphabeta blend them with the default
-    weights of ``blend``; GW scales every column to sum 1 and averages
-    the absolute deviation from the priority vector; ISH ranges the
-    one-intermediary products c_ik*c_kj over k = 1..n; RE is the share
-    of residual energy after fitting the log matrix with row-mean
-    differences.
+    all C(n,3) triads i < k < j, at any n (no enumeration budget); Ialpha
+    and Ialphabeta blend them with the default weights of ``blend``; GW
+    scales every column to sum 1 and averages the absolute deviation from
+    the priority vector; ISH ranges the one-intermediary products
+    c_ik*c_kj over k = 1..n; RE is the share of residual energy after
+    fitting the log matrix with row-mean differences.
     """
     if not is_complete(m):
         raise NotComplete("classical indices need a complete matrix")
@@ -218,7 +218,8 @@ def classical_indices(m):
     lam = principal_eigen(v).value
     ci = max(0.0, (lam - n) / (n - 1))
 
-    r = np.array([t.c_ik * t.c_kj / t.c_ij for t in list_triads(m)])
+    i, k, j = np.array(list(combinations(range(n), 3))).T
+    r = v[i, k] * v[k, j] / v[i, j]
     kmax, i1, i2 = _cycle_stats(_ratio_inconsistency(r))
     ialpha, ialphabeta = blend(kmax, i1, i2)
 

@@ -51,6 +51,13 @@ class BadK(PCError):
     """Removal count outside 0..(defined pairs - spanning tree size)."""
 
 
+def _as_int(name, value):
+    """value as a Python int; BadParams unless it is an int or a numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParams("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs of one experiment run.
@@ -61,9 +68,11 @@ class ExperimentConfig:
     consistent entries stay within weight_range**2.  The disturbance
     coefficient is drawn uniformly from [1/d, d]; with
     independent_removals each k gets a fresh removal set instead of the
-    default nested chain.  n stops at the largest size with cycle and
-    path tables, and weight_range**4 * d_max**(2*(n-1)) must be a finite
-    float; both are checked here, before any work starts.
+    default nested chain.  The counts and the seed must be integers
+    (Python or numpy, not bool) and the seed non-negative, n stops at
+    the largest size with cycle and path tables, and weight_range**4 *
+    d_max**(2*(n-1)) must be a finite float; all are checked here,
+    before any work starts.
     """
 
     n: int = 7
@@ -77,6 +86,10 @@ class ExperimentConfig:
     independent_removals: bool = False
 
     def __post_init__(self):
+        for name in ("n", "base_matrices", "d_max", "removals_max", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if self.seed < 0:
+            raise BadParams("seed must be non-negative, got %r" % (self.seed,))
         if not 3 <= self.n <= FREE_ENUMERATION_LIMIT:
             raise BadParams(
                 "n must lie in 3..%d (cycle and path tables), got %r"
@@ -104,8 +117,6 @@ class ExperimentConfig:
                 "weight_range**4 * d_max**(2*(n-1)) below %.3g"
                 % (self.weight_range, self.d_max, self.n, sys.float_info.max)
             )
-        if not isinstance(self.seed, int):
-            raise BadParams("seed must be an integer, got %r" % (self.seed,))
 
 
 @dataclass(frozen=True)
@@ -320,9 +331,10 @@ def run_experiment(cfg, threads=1):
 
     ``threads`` only spreads base matrices over worker processes; the
     result is bit-identical for any worker count because substreams are
-    per-base and the reduction order is fixed.  A count below 1 raises
-    BadParams.
+    per-base and the reduction order is fixed.  A count below 1 or one
+    that is not an integer raises BadParams.
     """
+    threads = _as_int("threads", threads)
     if threads < 1:
         raise BadParams("threads must be positive, got %r" % (threads,))
     _fast.get_tables(cfg.n)  # build once; forked workers inherit the cache

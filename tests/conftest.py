@@ -1,7 +1,7 @@
 """Shared fixtures: small hand matrices, brute-force reference enumerators,
 a depth-first cycle search, a transitive-closure reachability test, a
-longhand walk enumeration, longhand cycle and path products and a
-row-by-row mask route.
+longhand walk enumeration, longhand cycle and path products, the
+triad list and a row-by-row mask route.
 
 The brute-force helpers here deliberately do NOT reuse the library's
 graph code: they generate candidate vertex sequences by raw
@@ -280,6 +280,17 @@ def cycle_ratio(m, v):
     ratio to its reciprocal.
     """
     return hop_product(m, v) / label(m, v[0], v[-1])
+
+
+def list_triads(m):
+    """Vertex triples (i, k, j), i < k < j, whose three comparisons are all defined, in lexicographic order.
+
+    The oracle of the classical K, I1 and I2: a complete matrix yields
+    all C(n,3) triples, and ``cycle_ratio(m, t)`` is the triad's ratio
+    c_ik * c_kj / c_ij.
+    """
+    d = m.defined
+    return [t for t in combinations(range(m.n), 3) if d[t[0], t[1]] and d[t[1], t[2]] and d[t[0], t[2]]]
 
 
 def cycle_inconsistency(m, v):

@@ -17,10 +17,7 @@ from pcindex import (
     PCError,
     PCMatrix,
     ReciprocityViolation,
-    Triad,
-    defined_pairs,
     is_complete,
-    list_triads,
     parse_matrix,
     serialize_matrix,
     validate,
@@ -225,14 +222,9 @@ def test_exceeds_scale_flag(tri3, inc4):
     assert not edge.exceeds_scale  # 1/9..9 is closed
 
 
-def test_defined_pairs_and_triads(tri3, inc4):
-    assert defined_pairs(tri3) == [(0, 1), (0, 2), (1, 2)]
-    assert defined_pairs(inc4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    assert [(t.i, t.k, t.j) for t in list_triads(inc4)] == [(0, 1, 2), (0, 1, 3)]
-    t = list_triads(tri3)[0]
-    assert t == Triad(0, 1, 2, 2.0, 3.0, 12.0)
-    full = PCMatrix(np.ones((4, 4)))
-    assert len(list_triads(full)) == 4
+def test_repr_counts_defined_pairs(tri3, inc4):
+    assert repr(tri3) == "PCMatrix(n=3, defined pairs=3/3)"
+    assert repr(inc4) == "PCMatrix(n=4, defined pairs=5/6)"
 
 
 def test_parse_fractions_comments_blank_lines():

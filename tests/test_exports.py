@@ -1,10 +1,12 @@
-"""Every module's ``__all__`` names only what the module defines, no
-module keeps an import it neither uses nor re-exports, and no module
-keeps a function or class that it does not export and that no other
-code in the package names."""
+"""The package's public names are the pinned list below, every module's
+``__all__`` names only what the module defines, no module keeps an
+import it neither uses nor re-exports, and no module keeps a function
+or class that it does not export and that no other code in the package
+names."""
 
 import ast
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,72 @@ import pcindex
 
 # __main__ is the console entry point: importing it runs the CLI
 MODULES = [m.name for m in pkgutil.iter_modules(pcindex.__path__) if m.name != "__main__"]
+
+# every public name of the package, sorted; a change to the surface shows here
+PUBLIC_NAMES = [
+    "BadDiagonal",
+    "BadK",
+    "BadParams",
+    "BadSize",
+    "CLASSICAL_NAMES",
+    "CycleCapExceeded",
+    "CycleIndices",
+    "DistanceTable",
+    "EigenResult",
+    "ExperimentConfig",
+    "INDEX_NAMES",
+    "MISSING",
+    "MatrixSyntaxError",
+    "NoPath",
+    "NonFiniteIndex",
+    "NonPositiveEntry",
+    "NonSquare",
+    "NotComplete",
+    "NotConverged",
+    "NotIrreducible",
+    "PCError",
+    "PCMatrix",
+    "Path",
+    "ReciprocityViolation",
+    "ReducibleInput",
+    "SingularSystem",
+    "all_indices",
+    "blend",
+    "build_graph",
+    "check_blend",
+    "classical_indices",
+    "cycle_based_indices",
+    "disturb",
+    "enumerate_cycles",
+    "enumerate_paths",
+    "evm",
+    "gen_consistent",
+    "gmm",
+    "harker_ci",
+    "harker_matrix",
+    "harker_rank",
+    "ills",
+    "is_complete",
+    "is_irreducible",
+    "least_squares_indices",
+    "oliva_index",
+    "parse_matrix",
+    "principal_eigen",
+    "remove_comparisons",
+    "run_experiment",
+    "serialize_matrix",
+    "sh_index_inc",
+    "validate",
+]
+
+
+def test_public_names_are_pinned():
+    public = [
+        name
+        for name, value in vars(pcindex).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(public) == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -40,7 +40,14 @@ from pcindex import (
     remove_comparisons,
     sh_index_inc,
 )
-from tests.conftest import HUGE4_TEXT, cycle_vertices, path_product, random_complete
+from tests.conftest import (
+    HUGE4_TEXT,
+    cycle_inconsistency,
+    cycle_vertices,
+    list_triads,
+    path_product,
+    random_complete,
+)
 
 LN2 = math.log(2.0)
 # frozen hand oracles for the 3x3 fixture [[1,2,12],[1/2,1,3],[1/12,1/3,1]]
@@ -139,6 +146,25 @@ def test_classical_matches_longhand_reference():
         want = ref_classical(m)
         for name in CLASSICAL_NAMES:
             assert got[name] == pytest.approx(want[name], rel=1e-9, abs=1e-12), name
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_classical_triads_are_the_three_cycles(n):
+    # classical_indices gathers its triads as combinations(range(n), 3): the
+    # 3-cycles of K_n, in the cycle search's order
+    threes = [c for c in cycle_vertices(enumerate_cycles(~np.eye(n, dtype=bool))) if len(c) == 3]
+    assert threes == list(combinations(range(n), 3))
+    assert threes == list_triads(PCMatrix(np.ones((n, n))))
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_classical_beyond_the_cycle_budget(n):
+    m = random_complete(np.random.default_rng((62, n)), n)
+    with pytest.raises(CycleCapExceeded):
+        enumerate_cycles(build_graph(m))
+    c = classical_indices(m)
+    assert all(math.isfinite(v) for v in c.values())
+    assert c["K"] == max(cycle_inconsistency(m, t) for t in list_triads(m))
 
 
 def test_classical_needs_complete(inc4):

@@ -22,12 +22,10 @@ from pcindex import (
     NotComplete,
     all_indices,
     build_graph,
-    defined_pairs,
     disturb,
     gen_consistent,
     is_complete,
     is_irreducible,
-    list_triads,
     remove_comparisons,
     run_experiment,
 )
@@ -42,7 +40,12 @@ from pcindex.montecarlo import (
     ranking,
     totals_csv,
 )
-from tests.conftest import random_pattern
+from tests.conftest import cycle_ratio, list_triads, random_pattern
+
+
+def _pairs(m):
+    """Defined pairs (i, j), i < j, read off the mask in row-major order."""
+    return list(zip(*np.nonzero(np.triu(m.defined, 1))))
 
 
 def test_gen_consistent_properties():
@@ -50,8 +53,9 @@ def test_gen_consistent_properties():
     m = gen_consistent(7, rng)
     assert is_complete(m)
     v = m.values
+    assert len(list_triads(m)) == 35
     for t in list_triads(m):
-        assert t.c_ik * t.c_kj / t.c_ij == pytest.approx(1.0, abs=1e-12)
+        assert cycle_ratio(m, t) == pytest.approx(1.0, abs=1e-12)
     assert v.max() <= 9.0 and v.min() >= 1.0 / 9.0  # weight_range 3 -> ratios in 1/9..9
     assert max(abs(x) for x in all_indices(m).values()) <= 1e-12
     wide = gen_consistent(5, rng, weight_range=10.0)
@@ -95,10 +99,9 @@ def test_remove_comparisons_basics():
     m = gen_consistent(7, rng)
     assert remove_comparisons(m, 0, rng) == m
     r = remove_comparisons(m, 15, rng)
-    assert len(defined_pairs(r)) == 6  # spanning tree
+    assert len(_pairs(r)) == 6  # spanning tree
     assert is_irreducible(build_graph(r))
-    kept = [(i, j) for i, j in defined_pairs(r)]
-    for i, j in kept:
+    for i, j in _pairs(r):
         assert r[i, j] == m[i, j]
 
 
@@ -108,7 +111,7 @@ def test_remove_comparisons_chain_invariants():
     cur = m
     for k in range(1, 16):
         cur = remove_comparisons(cur, 1, rng)
-        assert len(defined_pairs(cur)) == 21 - k
+        assert len(_pairs(cur)) == 21 - k
         assert is_irreducible(build_graph(cur))
 
 
@@ -241,13 +244,13 @@ def test_remove_comparisons_beyond_64_slots():
         m = gen_consistent(12, rng)
         for k in (0, 1, 30, 24):  # 55 spare pairs: the last step ends on a spanning tree
             r = remove_comparisons(m, k, rng)
-            assert len(defined_pairs(r)) == len(defined_pairs(m)) - k
+            assert len(_pairs(r)) == len(_pairs(m)) - k
             assert is_irreducible(build_graph(r))
             assert np.array_equal(r.values[r.defined], m.values[r.defined])
             m = r
             h.update(m.defined.tobytes())
             h.update(_state_bytes(rng))
-    assert len(defined_pairs(m)) == 11
+    assert len(_pairs(m)) == 11
     assert h.hexdigest() == "1b05c0d538e37135d12059b0aa1429c047c647346d2e2ca1d469fe6fa7cc5295"
 
 
@@ -295,6 +298,8 @@ def test_config_validation():
         ExperimentConfig(weight_range=0.5)
     with pytest.raises(BadParams):
         ExperimentConfig(seed="abc")
+    with pytest.raises(BadParams, match="seed must be non-negative"):
+        ExperimentConfig(seed=-1)  # default_rng refuses negative seeds mid-run
     ExperimentConfig(n=8, removals_max=21)
     with pytest.raises(BadParams):
         ExperimentConfig(n=9, removals_max=1)  # no cycle and path tables beyond n=8
@@ -303,6 +308,38 @@ def test_config_validation():
             ExperimentConfig(n=5, d_max=2, removals_max=3, weight_range=wide)
     with pytest.raises(BadParams):
         ExperimentConfig(n=8, d_max=10**51, removals_max=1)  # d_max**(2*(n-1)) alone overflows
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 7.0),
+        ("n", True),
+        ("base_matrices", 2.5),
+        ("d_max", 2.0),
+        ("removals_max", 3.0),
+        ("seed", True),
+        ("seed", 1.0),
+        ("seed", np.bool_(True)),
+        ("threads", 2.0),
+        ("threads", True),
+    ],
+)
+def test_integer_fields_refuse_other_types(field, value):
+    small = dict(n=5, base_matrices=1, d_max=2, removals_max=3)
+    with pytest.raises(BadParams, match="%s must be an integer" % field):
+        if field == "threads":
+            run_experiment(ExperimentConfig(**small), threads=value)
+        else:
+            ExperimentConfig(**dict(small, **{field: value}))
+
+
+def test_integer_fields_take_numpy_integers():
+    cfg = ExperimentConfig(**{k: np.int64(v) for k, v in SMALL.items()})
+    assert cfg == ExperimentConfig(**SMALL)
+    assert all(type(getattr(cfg, k)) is int for k in SMALL)
+    tab = run_experiment(cfg, threads=np.int64(1))
+    assert distance_csv(tab) == distance_csv(run_experiment(ExperimentConfig(**SMALL)))
 
 
 def test_free_enumeration_limit_is_the_table_budget():
