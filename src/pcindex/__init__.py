@@ -19,8 +19,6 @@ from .core import (
 )
 from .graph import (
     CycleCapExceeded,
-    NoPath,
-    Path,
     build_graph,
     enumerate_cycles,
     enumerate_paths,

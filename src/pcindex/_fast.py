@@ -58,8 +58,8 @@ class Tables(NamedTuple):
     per slot (so ``rows @ logvals`` is the log cycle ratio / path
     product), and the ``need`` words are bitmasks of the slots a cycle
     or path uses.  Paths are grouped by pair in lexicographic pair
-    order, and ``path_starts`` holds each group's first index; every
-    pair of K_n has the same number of paths, so the groups are equal.
+    order; every pair of K_n has the same number of paths, so slot s
+    holds the s-th of E equal groups.
 
     The compact slot tables ``cyc_slots`` (n x cycles) and
     ``path_slots`` ((n - 1) x paths) hold, per hop, the unsigned slot id
@@ -79,7 +79,6 @@ class Tables(NamedTuple):
     cyc_need: np.ndarray
     path_rows: np.ndarray
     path_need: np.ndarray
-    path_starts: np.ndarray
     cyc_slots: np.ndarray
     path_slots: np.ndarray
     path_pair: np.ndarray
@@ -142,7 +141,6 @@ def get_tables(n):
     paths, ends = _path_walks(n)
     path_slots, path_rows, path_need = hop_table(paths)
     path_pair = slot_of[paths[:, 0], ends]
-    path_starts = np.searchsorted(path_pair, np.arange(ecount))
 
     return Tables(
         n,
@@ -154,7 +152,6 @@ def get_tables(n):
         cyc_need,
         path_rows,
         path_need,
-        path_starts,
         cyc_slots,
         path_slots,
         path_pair,
@@ -289,10 +286,7 @@ def _by_mask(t, ks, pi, masks):
     path is disconnected and raises NotIrreducible.
     """
     rows, ecount = masks.shape
-    sizes = np.diff(t.path_starts, append=pi.size)
-    per = int(sizes[0])
-    if (sizes != per).any():
-        raise ValueError("the path table must hold the same number of paths for every pair")
+    per = t.path_pair.size // ecount
     bits = (masks.astype(np.uint64) << np.arange(ecount, dtype=np.uint64)).sum(axis=1)
     cyc_ok = (t.cyc_need[None, :] & ~bits[:, None]) == 0
     stats = np.empty((4, rows))

@@ -14,20 +14,17 @@ search read it as neighbour lists (``_neighbours``).  Cycles are listed
 by a level-synchronous numpy frontier (``_frontier``) that never makes a
 Python object per walk; the experiment's tables in ``_fast`` come from
 the same frontier over the complete graph.  Paths between one pair are
-listed by a depth-first search.
+listed by a depth-first search, each as a plain tuple of its vertices.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import PCError
 
 __all__ = [
-    "Path",
     "CycleCapExceeded",
-    "NoPath",
     "build_graph",
     "is_irreducible",
     "enumerate_cycles",
@@ -43,16 +40,6 @@ MAX_STEPS = 16064
 
 class CycleCapExceeded(PCError):
     """Cycle or path enumeration would exceed its step budget."""
-
-
-class NoPath(PCError):
-    """No simple path exists between the requested vertices."""
-
-
-class Path(NamedTuple):
-    """Simple path: distinct vertices, consecutive pairs are edges."""
-
-    vertices: tuple
 
 
 def build_graph(m):
@@ -166,8 +153,10 @@ def _take_rows(a, index):
 def enumerate_paths(adj, i, j):
     """All simple paths from i to j over the boolean adjacency ``adj``, in lexicographic vertex order.
 
-    Includes the single-edge path when {i, j} is an edge.  Raises NoPath
-    when the graph offers no route (it is then disconnected), and
+    Each path is a tuple of its vertices, from i to j.  Includes the
+    single-edge path when {i, j} is an edge, and returns [] when no
+    route joins i and j (the graph is then disconnected), just as
+    ``enumerate_cycles`` returns no rows for a tree.  Raises
     CycleCapExceeded when the search takes more than MAX_STEPS steps.
     """
     if i == j:
@@ -185,7 +174,7 @@ def enumerate_paths(adj, i, j):
     while True:
         for u in walk:
             if u == j:
-                out.append(Path(tuple(path) + (j,)))
+                out.append(tuple(path) + (j,))
             elif u not in on_path:
                 steps += 1
                 if steps > MAX_STEPS:
@@ -203,8 +192,6 @@ def enumerate_paths(adj, i, j):
                 break
             walk = stack.pop()
             on_path.remove(path.pop())
-    if not out:
-        raise NoPath("no path between %d and %d" % (i, j))
     return out
 
 

@@ -180,16 +180,15 @@ def _log_entries(m):
 
 
 def _walk_logs(logs, paths):
-    """Sum of the hop log-entries along each Path.
+    """Sum of the hop log-entries along each path, a tuple of its vertices.
 
     The paths are flattened into one vertex array and all their hops'
     log-entries are gathered at once; the last vertex of a path ends on
     the diagonal entry ln c_jj = 0.
     """
-    verts = [p.vertices for p in paths]
-    lens = np.fromiter(map(len, verts), np.intp, len(verts))
+    lens = np.fromiter(map(len, paths), np.intp, len(paths))
     ends = np.cumsum(lens)
-    flat = np.fromiter(chain.from_iterable(verts), np.intp, ends[-1])
+    flat = np.fromiter(chain.from_iterable(paths), np.intp, ends[-1])
     nxt = np.empty_like(flat)
     nxt[:-1] = flat[1:]
     nxt[ends - 1] = flat[ends - 1]

@@ -106,7 +106,7 @@ class ExperimentConfig:
                 % (spare, self.n, self.removals_max)
             )
         check_blend(self.alpha, self.beta)
-        if self.weight_range < 1.0:
+        if not self.weight_range >= 1.0:
             raise BadParams("weight_range must be >= 1, got %r" % (self.weight_range,))
         # the largest path product is weight_range**2 * d_max**(n-1), and SH
         # multiplies two of them; its square must stay a finite float
@@ -136,9 +136,15 @@ class DistanceTable:
 
 
 def gen_consistent(n, rng, weight_range=3.0):
-    """Exactly consistent complete matrix from hidden log-uniform weights."""
+    """Exactly consistent complete matrix from hidden log-uniform weights.
+
+    The weights lie in [1/weight_range, weight_range], which must be
+    finite and at least 1 (BadParams otherwise).
+    """
     if n < 3:
         raise BadSize("need at least 3 alternatives, got %d" % n)
+    if not 1.0 <= weight_range < math.inf:
+        raise BadParams("weight_range must be finite and >= 1, got %r" % (weight_range,))
     span = math.log(weight_range)
     u = np.exp(rng.uniform(-span, span, n))
     return PCMatrix(u[:, None] / u[None, :])
@@ -149,12 +155,13 @@ def disturb(m, d, rng):
 
     d = 1 leaves the matrix unchanged (gamma is identically 1, and the
     draws still consume the same amount of randomness, so streams stay
-    aligned across disturbance levels).  No clipping to any scale.
+    aligned across disturbance levels).  No clipping to any scale.  A d
+    below 1 or not finite raises BadParams.
     """
     if not is_complete(m):
         raise NotComplete("disturbance needs a complete matrix")
-    if d < 1:
-        raise BadParams("disturbance level must be >= 1, got %r" % (d,))
+    if not 1 <= d < math.inf:
+        raise BadParams("disturbance level must be finite and >= 1, got %r" % (d,))
     iu = np.triu_indices(m.n, 1)
     gamma = rng.uniform(1.0 / d, float(d), iu[0].size)
     v = m.values.copy()
@@ -247,7 +254,8 @@ def remove_comparisons(m, k, rng):
 
     Accepts incomplete (but irreducible) input so chains can be extended
     one removal at a time; the output always has exactly k fewer defined
-    pairs and stays irreducible.
+    pairs and stays irreducible.  k must be an integer (Python or numpy,
+    not bool) in 0..(defined pairs - (n - 1)); BadK otherwise.
     """
     n = m.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -255,7 +263,7 @@ def remove_comparisons(m, k, rng):
     rows = graph.tolist()
     alive = [s for s, (i, j) in enumerate(pairs) if rows[i][j]]
     spare = len(alive) - (n - 1)
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > spare:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0 or k > spare:
         raise BadK("k must lie in 0..%d for this matrix, got %r" % (max(spare, 0), k))
     if not is_irreducible(graph):
         raise NotIrreducible("comparison graph is disconnected")

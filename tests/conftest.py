@@ -260,16 +260,11 @@ def label(m, i, j):
 
 
 def hop_product(m, v):
-    """Product of labels along the vertex sequence v."""
+    """Product of labels along the vertex sequence v; for a path, its induced indirect comparison."""
     r = 1.0
     for a, b in zip(v, v[1:]):
         r *= label(m, a, b)
     return r
-
-
-def path_product(m, p):
-    """Product of labels along a path (the induced indirect comparison)."""
-    return hop_product(m, p.vertices)
 
 
 def cycle_ratio(m, v):
@@ -304,16 +299,18 @@ def mask_route_by_row(t, ks, pi, masks):
 
     Each row tests every cycle and path against its slot bitmask and
     reduces the kept path products of each pair with ``np.where`` and
-    ``reduceat`` at ``t.path_starts``.  A pair that keeps no path gives
-    lo = inf and hi = -inf, so that row's SH is not finite.
+    ``reduceat`` at the first index of each pair in ``t.path_pair``.  A
+    pair that keeps no path gives lo = inf and hi = -inf, so that row's
+    SH is not finite.
     """
     rows, ecount = masks.shape
+    starts = np.searchsorted(t.path_pair, np.arange(ecount))
     bits = (masks.astype(np.uint64) << np.arange(ecount, dtype=np.uint64)).sum(axis=1)
     cyc_ok = (t.cyc_need[None, :] & ~bits[:, None]) == 0
     path_ok = (t.path_need[None, :] & ~bits[:, None]) == 0
     stats = np.empty((4, rows))
     for q in range(rows):
-        lo = np.minimum.reduceat(np.where(path_ok[q], pi, np.inf), t.path_starts)
-        hi = np.maximum.reduceat(np.where(path_ok[q], pi, -np.inf), t.path_starts)
+        lo = np.minimum.reduceat(np.where(path_ok[q], pi, np.inf), starts)
+        hi = np.maximum.reduceat(np.where(path_ok[q], pi, -np.inf), starts)
         stats[:, q] = (*_cycle_stats(ks[cyc_ok[q]]), _sh(t.n, lo, hi))
     return stats

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "INDEX_NAMES",
     "MISSING",
     "MatrixSyntaxError",
-    "NoPath",
     "NonFiniteIndex",
     "NonPositiveEntry",
     "NonSquare",
@@ -40,7 +39,6 @@ PUBLIC_NAMES = [
     "NotIrreducible",
     "PCError",
     "PCMatrix",
-    "Path",
     "ReciprocityViolation",
     "ReducibleInput",
     "SingularSystem",

@@ -44,8 +44,8 @@ from tests.conftest import (
     HUGE4_TEXT,
     cycle_inconsistency,
     cycle_vertices,
+    hop_product,
     list_triads,
-    path_product,
     random_complete,
 )
 
@@ -283,7 +283,7 @@ def test_sh_inc_longhand(inc4, sparse7):
         total = 0.0
         for i in range(m.n):
             for j in range(i + 1, m.n):
-                prods = [path_product(m, p) for p in enumerate_paths(g, i, j)]
+                prods = [hop_product(m, p) for p in enumerate_paths(g, i, j)]
                 hi, lo = max(prods), min(prods)
                 total += (hi - lo) / ((1 + hi) * (1 + lo))
         want = 2.0 * total / (m.n * (m.n - 1))

@@ -62,6 +62,9 @@ def test_gen_consistent_properties():
     assert wide.values.max() <= 100.0
     with pytest.raises(BadSize):
         gen_consistent(2, rng)
+    for bad in (0.5, 0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(BadParams, match="weight_range must be finite and >= 1"):
+            gen_consistent(5, rng, weight_range=bad)
 
 
 def test_gen_consistent_deterministic():
@@ -90,8 +93,9 @@ def test_disturb_properties():
     assert v.max() > 9.0  # no clipping: this draw does leave the scale
     with pytest.raises(NotComplete):
         disturb(remove_comparisons(m, 1, rng), 2, rng)
-    with pytest.raises(BadParams):
-        disturb(m, 0, rng)
+    for bad in (0, float("nan"), float("inf")):
+        with pytest.raises(BadParams, match="disturbance level must be finite and >= 1"):
+            disturb(m, bad, rng)
 
 
 def test_remove_comparisons_basics():
@@ -122,6 +126,9 @@ def test_remove_comparisons_bad_k():
         remove_comparisons(m, 11, rng)  # spare is C(6,2) - 5 = 10
     with pytest.raises(BadK):
         remove_comparisons(m, -1, rng)
+    for bad in (True, np.True_, 1.0):
+        with pytest.raises(BadK):
+            remove_comparisons(m, bad, rng)
     tree = remove_comparisons(m, 10, rng)
     with pytest.raises(BadK):
         remove_comparisons(tree, 1, rng)
@@ -294,8 +301,9 @@ def test_config_validation():
     for x in (0.7, 1.0, 0.5000001, -0.1, float("nan"), float("inf")):
         with pytest.raises(BadParams):
             ExperimentConfig(beta=x)
-    with pytest.raises(BadParams):
-        ExperimentConfig(weight_range=0.5)
+    for low in (0.5, 0.0, -1.0, float("nan")):
+        with pytest.raises(BadParams, match="weight_range must be >= 1"):
+            ExperimentConfig(weight_range=low)
     with pytest.raises(BadParams):
         ExperimentConfig(seed="abc")
     with pytest.raises(BadParams, match="seed must be non-negative"):
