@@ -18,7 +18,11 @@ come from the same frontier with no budget and no closing test.  No
 walk becomes a Python object: a level gathers whole walk rows as
 ``np.void`` items, the paths are ordered by one integer sort key, and
 the hop tables are written one hop at a time, so no temporary is as
-large as the tables.  A test asserts that the tables list
+large as the tables.  A walk's slots are kept three hops to a number
+(its slot triples), so a nested chain reads each walk's survival from
+one lookup per three hops into a per-chain table of triple minima, and
+scoring a chain needs no temporary as large as the tables either.  A
+test asserts that the tables list
 exactly the cycles and paths of the depth-first oracle in the tests, in
 its order, for n = 3..8.  The numeric agreement with the
 reference route is pinned separately by tests that run both routes on
@@ -48,6 +52,13 @@ from .indices import (
 
 __all__ = ["Tables", "get_tables", "consistent_logvals", "indices_for_masks"]
 
+# Walks per slot-triple lookup in a nested chain.  A lookup over a whole
+# n = 8 path row would copy its indices to a 438 KB intp array; next to
+# the path products of the same size, such copies made the allocator
+# return memory after every chain and fault it back in on the next
+# (about 180 page faults per chain).  At 8192 walks the copy is 64 KB.
+_LOOKUP_CHUNK = 8192
+
 
 class Tables(NamedTuple):
     """Per-n combinatorial tables over the complete graph.
@@ -61,13 +72,16 @@ class Tables(NamedTuple):
     order; every pair of K_n has the same number of paths, so slot s
     holds the s-th of E equal groups.
 
-    The compact slot tables ``cyc_slots`` (n x cycles) and
-    ``path_slots`` ((n - 1) x paths) hold, per hop, the unsigned slot id
-    each cycle or path uses, as the smallest unsigned integer type that
-    fits (uint8 for n <= 8).  Shorter cycles and paths are padded with
-    the extra slot id E, which no mask can remove.  ``path_pair`` is the
-    pair (slot) each path connects.  Nested removal chains are scored
-    from these alone; the dense rows still give the log products.
+    The slot-triple tables ``cyc_triples`` (ceil(n / 3) x cycles) and
+    ``path_triples`` (ceil((n - 1) / 3) x paths) hold the slot ids of
+    each walk's hops three at a time: hops a, b, c as the one number
+    (a * (E + 1) + b) * (E + 1) + c, in the smallest unsigned integer
+    type that fits (uint16 for n <= 8).  Shorter cycles and paths, and
+    the last triple of a walk whose hop count is not a multiple of 3,
+    are padded with the extra slot id E, which no mask can remove.
+    ``path_pair`` is the pair (slot) each path connects.  Nested removal
+    chains are scored from these alone; the dense rows still give the
+    log products.
     """
 
     n: int
@@ -79,8 +93,8 @@ class Tables(NamedTuple):
     cyc_need: np.ndarray
     path_rows: np.ndarray
     path_need: np.ndarray
-    cyc_slots: np.ndarray
-    path_slots: np.ndarray
+    cyc_triples: np.ndarray
+    path_triples: np.ndarray
     path_pair: np.ndarray
 
 
@@ -93,7 +107,8 @@ def get_tables(n):
     building any path.  The frontier's levels are whole-row gathers
     (``graph._take_rows``); the hop tables take one pass per hop, which
     looks up each hop's slot, sign and need bit at the flat index
-    a * (n + 1) + b and writes only the hops a walk takes.
+    a * (n + 1) + b, writes only the hops a walk takes to the dense rows
+    and adds the slot as the next base-(E + 1) digit of its triple.
     """
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     ecount = len(pairs)
@@ -107,6 +122,7 @@ def get_tables(n):
     # pads short walks, and any hop touching it lands on the padding slot E,
     # with sign 0 and need bit 0
     slot_type = np.min_scalar_type(ecount)
+    triple_type = np.min_scalar_type((ecount + 1) ** 3 - 1)
     slot_of = np.full((n + 1, n + 1), ecount, dtype=slot_type)
     sign_of = np.zeros((n + 1, n + 1))
     slot_of[iu, ju] = slot_of[ju, iu] = np.arange(ecount)
@@ -117,29 +133,37 @@ def get_tables(n):
     bit_of = np.append(np.uint64(1) << np.arange(ecount, dtype=np.uint64), np.uint64(0))
 
     def hop_table(walks):
-        """Slot ids (width x walks), dense signed rows and need words of padded vertex walks.
+        """Slot triples (ceil(width / 3) x walks), dense rows and need words of padded walks.
 
         One pass per hop: its slots and signs come from the flat lookups,
-        and only the hops that a walk really takes are written to ``rows``.
+        only the hops that a walk really takes are written to ``rows``,
+        and each slot is the next base-(E + 1) digit of its triple; the
+        digits past the last hop are the padding slot E.
         """
         count, width = walks.shape[0], walks.shape[1] - 1
         v = np.ascontiguousarray(walks.T)
-        ids = np.empty((width, count), dtype=slot_type)
+        triples = np.zeros((-(-width // 3), count), dtype=triple_type)
         rows = np.zeros((count, ecount))
         need = np.zeros(count, dtype=np.uint64)
         row_start = np.arange(0, count * ecount, ecount)
         for h in range(width):
             hop = np.multiply(v[h], n + 1, dtype=np.intp)
             hop += v[h + 1]
-            ids[h] = slot = slot_flat.take(hop)
+            slot = slot_flat.take(hop)
+            digits = triples[h // 3]
+            digits *= ecount + 1
+            digits += slot
             used = np.flatnonzero(slot < ecount)
             rows.reshape(-1)[row_start[used] + slot[used]] = sign_flat.take(hop[used])
             need |= bit_of.take(slot)
-        return ids, rows, need
+        for h in range(width, 3 * triples.shape[0]):
+            triples[h // 3] *= ecount + 1
+            triples[h // 3] += ecount
+        return triples, rows, need
 
-    cyc_slots, cyc_rows, cyc_need = hop_table(enumerate_cycles(~np.eye(n, dtype=bool)))
+    cyc_triples, cyc_rows, cyc_need = hop_table(enumerate_cycles(~np.eye(n, dtype=bool)))
     paths, ends = _path_walks(n)
-    path_slots, path_rows, path_need = hop_table(paths)
+    path_triples, path_rows, path_need = hop_table(paths)
     path_pair = slot_of[paths[:, 0], ends]
 
     return Tables(
@@ -152,8 +176,8 @@ def get_tables(n):
         cyc_need,
         path_rows,
         path_need,
-        cyc_slots,
-        path_slots,
+        cyc_triples,
+        path_triples,
         path_pair,
     )
 
@@ -205,8 +229,9 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
     comparison its predecessor dropped, as along a removal chain), a
     slot's life is the number of rows that keep it, and a cycle or path
     is alive exactly in rows 0 .. life - 1, its life being the least
-    life over the slots it uses.  Per-life statistics, accumulated in
-    reverse, then give every row in one O(cycles + paths) pass.  Other
+    life over the slots it uses, read from the slot triples.  Per-life
+    statistics, accumulated in reverse, then give every row in one
+    O(cycles + paths) pass.  Other
     rows (independent removal sets) test every cycle and path against
     the slot bitmasks: the cycle statistics row by row, SH from each
     pair's paths ranked by product once.
@@ -218,7 +243,8 @@ def indices_for_masks(t, logvals, masks, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA)
     rows = masks.shape[0]
 
     ks = _ratio_inconsistency(np.exp(t.cyc_rows @ logvals))
-    pi = np.exp(t.path_rows @ logvals)
+    pi = t.path_rows @ logvals
+    np.exp(pi, out=pi)
     # first, so a disconnected row is refused before the solve sees it
     nested = not (masks[1:] & ~masks[:-1]).any()
     kt, i1, i2, sh = (_by_survival if nested else _by_mask)(t, ks, pi, masks)
@@ -317,8 +343,8 @@ def _by_survival(t, ks, pi, masks):
     rows, ecount = masks.shape
     life = np.append(masks.sum(axis=0), rows).astype(np.min_scalar_type(rows))
     bins = rows + 1
+    cyc_life, path_life = _walk_lives(life, t)
 
-    cyc_life = np.take(life, t.cyc_slots).min(axis=0)
     count = _tail(np.add, np.bincount(cyc_life, minlength=bins))
     total = _tail(np.add, np.bincount(cyc_life, ks, bins))
     squares = _tail(np.add, np.bincount(cyc_life, ks * ks, bins))
@@ -327,7 +353,11 @@ def _by_survival(t, ks, pi, masks):
     kt = _tail(np.maximum, top)
     i1, i2 = _cycle_means(total, squares, count)
 
-    cell = np.take(life, t.path_slots).min(axis=0).astype(np.intp) * ecount + t.path_pair
+    # cell ids in the smallest type that holds bins * E, not intp, for the
+    # reason given at _LOOKUP_CHUNK
+    cell = path_life.astype(np.min_scalar_type(bins * ecount - 1))
+    cell *= ecount
+    cell += t.path_pair
     lo = np.full(bins * ecount, np.inf)
     hi = np.full(bins * ecount, -np.inf)
     np.minimum.at(lo, cell, pi)
@@ -337,6 +367,30 @@ def _by_survival(t, ks, pi, masks):
     if np.isinf(lo).any():
         raise NotIrreducible("a mask row leaves some pair without a path")
     return kt, i1, i2, _sh(t.n, lo, hi)
+
+
+def _walk_lives(life, t):
+    """Each cycle's and each path's least life over the slots it uses.
+
+    ``life`` holds one life per slot, the padding slot E last.  The
+    least life of every slot triple, min(life[a], life[b], life[c]) at
+    (a * (E + 1) + b) * (E + 1) + c, is one small table per chain, so a
+    walk's life takes one lookup per triple row of the tables.  The
+    lookups run over ``_LOOKUP_CHUNK`` walks at a time, because ``take``
+    copies its indices to intp first.
+    """
+    least = np.minimum.outer(np.minimum.outer(life, life), life).ravel()
+    out = []
+    for triples in (t.cyc_triples, t.path_triples):
+        walk = np.empty(triples.shape[1], dtype=least.dtype)
+        for start in range(0, walk.size, _LOOKUP_CHUNK):
+            part = triples[:, start : start + _LOOKUP_CHUNK]
+            piece = walk[start : start + _LOOKUP_CHUNK]
+            least.take(part[0], out=piece)
+            for row in part[1:]:
+                np.minimum(piece, least.take(row), out=piece)
+        out.append(walk)
+    return out
 
 
 def _tail(op, per_life):

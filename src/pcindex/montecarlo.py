@@ -139,13 +139,18 @@ def gen_consistent(n, rng, weight_range=3.0):
     """Exactly consistent complete matrix from hidden log-uniform weights.
 
     The weights lie in [1/weight_range, weight_range], which must be
-    finite and at least 1 (BadParams otherwise).
+    finite and at least 1, with weight_range**2 (the widest ratio) a
+    finite float too (BadParams otherwise).
     """
     if n < 3:
         raise BadSize("need at least 3 alternatives, got %d" % n)
     if not 1.0 <= weight_range < math.inf:
         raise BadParams("weight_range must be finite and >= 1, got %r" % (weight_range,))
     span = math.log(weight_range)
+    if not 2.0 * span < _LOG_FLOAT_MAX:
+        raise BadParams(
+            "weight_range**2 must be a finite float, got weight_range %r" % (weight_range,)
+        )
     u = np.exp(rng.uniform(-span, span, n))
     return PCMatrix(u[:, None] / u[None, :])
 
@@ -156,7 +161,8 @@ def disturb(m, d, rng):
     d = 1 leaves the matrix unchanged (gamma is identically 1, and the
     draws still consume the same amount of randomness, so streams stay
     aligned across disturbance levels).  No clipping to any scale.  A d
-    below 1 or not finite raises BadParams.
+    below 1 or not finite raises BadParams, and so does a disturbed
+    entry that, or whose reciprocal, is not a positive finite float.
     """
     if not is_complete(m):
         raise NotComplete("disturbance needs a complete matrix")
@@ -165,14 +171,23 @@ def disturb(m, d, rng):
     iu = np.triu_indices(m.n, 1)
     gamma = rng.uniform(1.0 / d, float(d), iu[0].size)
     v = m.values.copy()
-    v[iu] *= gamma
+    with np.errstate(divide="ignore", over="ignore"):
+        up = v[iu] * gamma
+        recip = 1.0 / up
+    if not (np.isfinite(up) & (up > 0.0) & np.isfinite(recip) & (recip > 0.0)).all():
+        raise BadParams(
+            "disturbance level %r leaves an entry or its reciprocal outside the positive"
+            " floats" % (d,)
+        )
+    v[iu] = up
     return PCMatrix(v)
 
 
-def _bridges(n, adj):
+def _bridges(n, adj, edges):
     """Bridge edges of a connected graph as a set of (min, max) pairs.
 
-    ``adj[v]`` is the neighbour bitmask of vertex v.  A BFS tree from
+    ``adj[v]`` is the neighbour bitmask of vertex v and ``edges`` the
+    number of edges the graph has.  A BFS tree from
     vertex 0, then one pass in reverse BFS order: each vertex hands its
     parent its subtree mask and the OR of its subtree's neighbour masks.
     The tree edge (x, p) is a bridge iff it is the only edge leaving x's
@@ -185,8 +200,7 @@ def _bridges(n, adj):
     search: every cut of K_n has at least n - 1 edges, so each of its
     cuts keeps two of them and no edge is a bridge.
     """
-    # the degrees sum to twice the edge count
-    if sum(a.bit_count() for a in adj) >= n * (n - 1) - 2 * (n - 3):
+    if edges >= n * (n - 1) // 2 - (n - 3):
         return set()
     parent = [0] * n
     order = [0]
@@ -223,7 +237,7 @@ def _chain_step(bit_of, adj, live, rng):
     so both consume the random stream identically.
     """
     cands = live
-    for e in _bridges(len(adj), adj):
+    for e in _bridges(len(adj), adj, live.bit_count()):
         cands &= ~bit_of[e]
     i = int(rng.integers(cands.bit_count()))
     for _ in range(i):

@@ -7,6 +7,7 @@ tables is checked bit for bit against the row-by-row route in
 
 import hashlib
 import time
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -21,14 +22,16 @@ from tests.conftest import dfs_cycles, mask_route_by_row
 
 # SHA-256 over every Tables field (see _digest), taken from the tables the
 # depth-first enumerators built; when path_starts left Tables, each was
-# re-taken over the 12 kept fields of the tables built just before
+# re-taken over the 12 kept fields of the tables built just before, and
+# when the slot triples replaced the per-hop slot tables, again after the
+# triples decoded to those slot tables and every other field kept its bytes
 TABLE_SHA256 = {
-    3: "c22f1dbe6a16e8c192831847de3a9f3c47f7e22fa2754a0ad5f995246a17e810",
-    4: "5453a54c930b73ef9e4f1903f7e89045d6654a650c89e06633c6f4ade9225b0f",
-    5: "fbcf17510b0ce2c2651fea78a595ab1b6dbea1832e4700a36000c3e67ca87015",
-    6: "e9bfb5cf952392c91a878916ffe2a10d0e59b809a02ea2ece5c4ed3387c7b985",
-    7: "4f0cece6df77caaf284408d8e7dd9190d88f443c5e5c29d0088978e9227085b6",
-    8: "ed0fc5f09b3ab224899717f9214de1bc16d528083c812251ab185c014edf33d7",
+    3: "806a25ac49f5249014f44b4c70576d2a30f61c2316f7be5b32f52037ef8bf7ee",
+    4: "3d340860cdd71125370b37170e2a62020f67983561448f510b0ace137400c564",
+    5: "32b7fc905915e421623ad910a3418905acb57872f0925651aa52ef935012d374",
+    6: "1be6fd7b44f825308e8a81bd15e5e8afeef0af9b27a8c682991b39094919355c",
+    7: "e73a4e45a51a376102ab07b66641cf6d1c64093949ada55e11037527d098c114",
+    8: "664d21f6db41bbf31ec0e4c3040086c83731abe41ee7d9c9e677ef03b3d8a943",
 }
 
 # SHA-256 of _row_digest's index rows, taken while the mask route still
@@ -49,11 +52,24 @@ def _digest(t):
     return h.hexdigest()
 
 
-def _walks(t, slots, rows):
-    """Vertex tuples of the table's walks, read back from each hop's slot and sign."""
+def _hop_slots(t, triples):
+    """Per-hop slot ids (3 hops per triple row, walks as columns) decoded from the slot triples."""
+    base = len(t.pairs) + 1
+    digits = (triples // (base * base), triples // base % base, triples % base)
+    return np.stack(digits, axis=1).reshape(-1, triples.shape[1])
+
+
+def _walks(t, triples, rows):
+    """Vertex tuples of the table's walks, read back from each hop's slot and sign.
+
+    A walk's hops come first; every slot after them is the padding slot E.
+    """
+    ecount = len(t.pairs)
     out = []
-    for ids, signs in zip(slots.T.tolist(), rows):
-        hops = [t.pairs[s] if signs[s] > 0 else t.pairs[s][::-1] for s in ids if s < len(t.pairs)]
+    for ids, signs in zip(_hop_slots(t, triples).T.tolist(), rows):
+        width = ids.index(ecount) if ecount in ids else len(ids)
+        assert ids[width:] == [ecount] * (len(ids) - width)
+        hops = [t.pairs[s] if signs[s] > 0 else t.pairs[s][::-1] for s in ids[:width]]
         assert all(b == a for (_, b), (a, _) in zip(hops, hops[1:]))
         out.append(hops[0][:1] + tuple(b for _, b in hops))
     return out
@@ -64,11 +80,42 @@ def test_tables_equal_the_depth_first_enumerators(n):
     t = _fast.get_tables(n)
     g = build_graph(PCMatrix(np.ones((n, n))))
     assert t.pairs == tuple(combinations(range(n), 2))
+    assert t.cyc_triples.shape[0] == -(-n // 3) and t.path_triples.shape[0] == -(-(n - 1) // 3)
     cycles = [c + c[:1] for c in dfs_cycles(g)]
-    assert _walks(t, t.cyc_slots, t.cyc_rows) == cycles
+    assert _walks(t, t.cyc_triples, t.cyc_rows) == cycles
     paths = [enumerate_paths(g, i, j) for i, j in t.pairs]
     assert t.path_pair.tolist() == [s for s, p in enumerate(paths) for _ in p]
-    assert _walks(t, t.path_slots, t.path_rows) == [v for p in paths for v in p]
+    assert _walks(t, t.path_triples, t.path_rows) == [v for p in paths for v in p]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_walk_lives_equal_the_per_hop_minimum(n):
+    t = _fast.get_tables(n)
+    rng = np.random.default_rng(1900 + n)
+    for rows in (1, 2, 22, 255, 300):
+        # every slot's life is drawn, the padding slot E's too, so a
+        # padding digit that named the wrong slot would show
+        life = rng.integers(0, rows + 1, len(t.pairs) + 1).astype(np.min_scalar_type(rows))
+        for got, triples in zip(_fast._walk_lives(life, t), (t.cyc_triples, t.path_triples)):
+            want = life.take(_hop_slots(t, triples)).min(axis=0)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_nested_chain_needs_no_table_sized_temporary():
+    t = _fast.get_tables(8)
+    rng = np.random.default_rng(1960)
+    logvals = _fast.consistent_logvals(t, rng.uniform(-1.1, 1.1, 8)) + np.log(rng.uniform(1.0 / 7.0, 7.0, 28))
+    masks = _chain_masks(8, t.pairs, len(t.pairs) - 7, rng, False)
+    _fast.indices_for_masks(t, logvals, masks)
+    tracemalloc.start()
+    try:
+        _fast.indices_for_masks(t, logvals, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n = 8 path table alone is 54,796 paths of 7 hops; an intp copy of
+    # it per chain would be 2.9 MB
+    assert peak < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -8,6 +8,7 @@ fourteen index values must agree.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pcindex import (
     DistanceTable,
     ExperimentConfig,
     NotComplete,
+    PCMatrix,
     all_indices,
     build_graph,
     disturb,
@@ -65,6 +67,12 @@ def test_gen_consistent_properties():
     for bad in (0.5, 0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(BadParams, match="weight_range must be finite and >= 1"):
             gen_consistent(5, rng, weight_range=bad)
+    # finite, but the widest ratio weight_range**2 is not
+    for bad in (1e200, 1.5e154, 10**400):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParams, match=r"weight_range\*\*2 must be a finite float"):
+                gen_consistent(5, rng, weight_range=bad)
 
 
 def test_gen_consistent_deterministic():
@@ -96,6 +104,16 @@ def test_disturb_properties():
     for bad in (0, float("nan"), float("inf")):
         with pytest.raises(BadParams, match="disturbance level must be finite and >= 1"):
             disturb(m, bad, rng)
+    # finite levels that push an entry past the largest float, or push an
+    # entry of 5.57e-309 (reciprocal 1.795e308) low enough that its
+    # reciprocal overflows
+    other = np.random.default_rng(0)
+    tiny = PCMatrix(np.full((3, 3), 5.57e-309))
+    for base, bad, draws in ((gen_consistent(5, other), 1e308, other), (tiny, 2, rng)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParams, match="leaves an entry or its reciprocal outside"):
+                disturb(base, bad, draws)
 
 
 def test_remove_comparisons_basics():
@@ -188,7 +206,7 @@ def test_bridges_match_definition(n):
         defined = random_pattern(rng, n, int(rng.integers(spare + 1)))
         graphs.append({(i, j) for i in range(n) for j in range(i + 1, n) if defined[i, j]})
     for edges in graphs:
-        assert _bridges(n, _adjacency(n, edges)) == _bridges_by_definition(n, edges)
+        assert _bridges(n, _adjacency(n, edges), len(edges)) == _bridges_by_definition(n, edges)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -208,12 +226,12 @@ def test_bridges_of_near_complete_graphs(n):
         # all of them at one vertex, which keeps two of its edges
         graphs.append(full - {(0, v) for v in range(1, missing + 1)})
     for edges in graphs:
-        assert _bridges(n, _adjacency(n, edges)) == set() == _bridges_by_definition(n, edges)
+        assert _bridges(n, _adjacency(n, edges), len(edges)) == set() == _bridges_by_definition(n, edges)
     for v in range(n):
         u = (v + 1 + int(rng.integers(n - 1))) % n
         edges = full - {p for p in full if v in p and u not in p}
         bridges = {(min(u, v), max(u, v))} if n > 3 else edges
-        assert _bridges(n, _adjacency(n, edges)) == bridges == _bridges_by_definition(n, edges)
+        assert _bridges(n, _adjacency(n, edges), len(edges)) == bridges == _bridges_by_definition(n, edges)
 
 
 def _state_bytes(rng):
