@@ -13,6 +13,7 @@ configuration.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .core import SCALE_S, NotComplete, NotIrreducible, PCError, is_complete, parse_matrix
@@ -118,6 +119,10 @@ def cmd_experiment(args):
         weight_range=args.weight_range,
         independent_removals=args.independent_removals,
     )
+    # a missing directory would otherwise surface only after the whole run
+    folder = os.path.dirname(args.out) or os.curdir
+    if not os.path.isdir(folder):
+        raise FileNotFoundError("output directory %s does not exist" % folder)
     table = run_experiment(cfg, threads=args.threads)
     dist_path = args.out + "_distance.csv"
     tot_path = args.out + "_totals.csv"

@@ -229,6 +229,17 @@ def validate(grid):
                 )
             vals[i, j] = float(cell)
             mask[i, j] = True
+    return _checked(vals, mask)
+
+
+def _checked(vals, mask):
+    """PCMatrix of an n x n float grid and its definedness mask, after the array checks.
+
+    ``vals`` holds 1 in every missing cell.  Checks the diagonal, then
+    positivity, then reciprocity, each reporting its first bad cell in
+    row-major order: BadDiagonal, NonPositiveEntry, ReciprocityViolation.
+    """
+    n = len(vals)
     bad_diag = np.flatnonzero(~mask.diagonal() | (vals.diagonal() != 1.0))
     if bad_diag.size:
         i = int(bad_diag[0])
@@ -276,15 +287,14 @@ _FRACTION_RE = re.compile(r"^(\d+)/(\d+)$")
 
 
 def _parse_token(tok):
-    """One matrix token -> float or MISSING; raises ValueError on junk."""
-    if tok == "?":
-        return MISSING
-    frac = _FRACTION_RE.match(tok)
-    if frac:
-        a, b = int(frac.group(1)), int(frac.group(2))
-        if a == 0 or b == 0:
-            raise ValueError("fraction %r must have positive integer parts" % tok)
-        return a / b
+    """One matrix token other than "?" -> float; raises ValueError on junk."""
+    if "/" in tok:  # float() takes no "/", so only a fraction can parse
+        frac = _FRACTION_RE.match(tok)
+        if frac:
+            a, b = int(frac.group(1)), int(frac.group(2))
+            if a == 0 or b == 0:
+                raise ValueError("fraction %r must have positive integer parts" % tok)
+            return a / b
     try:
         return float(tok)
     except ValueError:
@@ -323,20 +333,25 @@ def parse_matrix(text):
         )
     if len(data) - 1 > n:
         raise MatrixSyntaxError(data[n + 1][0], "unexpected extra line after the matrix")
-    grid = []
+    # flat row-major positions and values of the defined cells
+    cells = []
+    nums = []
     for r in range(n):
         no, line = data[r + 1]
         toks = line.split()
         if len(toks) != n:
             raise MatrixSyntaxError(no, "expected %d tokens, got %d" % (n, len(toks)))
-        row = []
-        for tok in toks:
-            try:
-                row.append(_parse_token(tok))
-            except ValueError as exc:
-                raise MatrixSyntaxError(no, str(exc)) from None
-        grid.append(row)
-    return validate(grid)
+        cols = [c for c, tok in enumerate(toks) if tok != "?"]
+        try:
+            nums += [_parse_token(toks[c]) for c in cols]
+        except ValueError as exc:
+            raise MatrixSyntaxError(no, str(exc)) from None
+        cells += [r * n + c for c in cols]
+    vals = np.ones(n * n)
+    vals[cells] = nums
+    mask = np.zeros(n * n, dtype=bool)
+    mask[cells] = True
+    return _checked(vals.reshape(n, n), mask.reshape(n, n))
 
 
 def _format_value(x):

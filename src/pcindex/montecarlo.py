@@ -69,7 +69,8 @@ class ExperimentConfig:
     coefficient is drawn uniformly from [1/d, d]; with
     independent_removals each k gets a fresh removal set instead of the
     default nested chain.  The counts and the seed must be integers
-    (Python or numpy, not bool) and the seed non-negative, n stops at
+    (Python or numpy, not bool) and the seed non-negative,
+    independent_removals a bool (Python or numpy), n stops at
     the largest size with cycle and path tables, and weight_range**4 *
     d_max**(2*(n-1)) must be a finite float; all are checked here,
     before any work starts.
@@ -88,6 +89,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n", "base_matrices", "d_max", "removals_max", "seed"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if not isinstance(self.independent_removals, (bool, np.bool_)):
+            raise BadParams("independent_removals must be a bool, got %r" % (self.independent_removals,))
+        object.__setattr__(self, "independent_removals", bool(self.independent_removals))
         if self.seed < 0:
             raise BadParams("seed must be non-negative, got %r" % (self.seed,))
         if not 3 <= self.n <= FREE_ENUMERATION_LIMIT:

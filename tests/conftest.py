@@ -13,6 +13,8 @@ its frontier, level by level.  The
 longhand products multiply raw entries hop by hop, where the library
 sums log-entries.  The row-by-row mask route reduces each row's surviving
 path products pair by pair, where the library ranks them once per chain.
+The per-step power iteration tests its stopping rule after every step,
+where the library tests it once per block of iterates.
 """
 
 from itertools import combinations, permutations
@@ -20,8 +22,9 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from pcindex import CycleCapExceeded, PCMatrix, graph, parse_matrix
+from pcindex import CycleCapExceeded, NotConverged, PCMatrix, graph, parse_matrix
 from pcindex.indices import _cycle_stats, _sh
+from pcindex.priority import EIGEN_TOL
 
 # one line per acceptance criterion, echoed in the terminal summary so the
 # verdicts are visible even when everything passes under output capture
@@ -314,3 +317,24 @@ def mask_route_by_row(t, ks, pi, masks):
         hi = np.maximum.reduceat(np.where(path_ok[q], pi, -np.inf), starts)
         stats[:, q] = (*_cycle_stats(ks[cyc_ok[q]]), _sh(t.n, lo, hi))
     return stats
+
+
+def power_iteration_by_step(A, max_iter):
+    """(value, vector) of the shifted power iteration, stopping test after every step: ``principal_eigen``'s oracle.
+
+    Iterates w = (A + I) v / sum((A + I) v) from the uniform vector and
+    stops at the first w with max|w - v| <= EIGEN_TOL * max(w), whose
+    eigenvalue is sum((A + I) w) - 1.  Raises NotConverged when
+    ``max_iter`` steps pass without that.  It takes ``A`` as given: no
+    input checks.
+    """
+    n = len(A)
+    M = np.asarray(A, dtype=float) + np.eye(n)
+    v = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        w = M @ v
+        w /= w.sum()
+        if np.max(np.abs(w - v)) <= EIGEN_TOL * np.max(w):
+            return float((M @ w).sum()) - 1.0, w
+        v = w
+    raise NotConverged("power iteration did not converge in %d iterations" % max_iter)

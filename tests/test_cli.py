@@ -303,6 +303,18 @@ def test_experiment_unwritable_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_experiment_missing_out_dir_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, threads: runs.append(cfg))
+    for out in (tmp_path / "no" / "dir" / "x", tmp_path / "file.txt" / "x"):
+        (tmp_path / "file.txt").write_text("", encoding="utf-8")
+        assert main(["experiment", *EXP_ARGS, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory ") and "does not exist" in err
+    assert runs == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+
 def _no_files_and_no_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

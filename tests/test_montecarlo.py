@@ -334,6 +334,11 @@ def test_config_validation():
             ExperimentConfig(n=5, d_max=2, removals_max=3, weight_range=wide)
     with pytest.raises(BadParams):
         ExperimentConfig(n=8, d_max=10**51, removals_max=1)  # d_max**(2*(n-1)) alone overflows
+    for flag in ("no", 1, 0, None):
+        with pytest.raises(BadParams, match="independent_removals must be a bool"):
+            ExperimentConfig(independent_removals=flag)
+    for flag in (True, np.bool_(True), False, np.bool_(False)):
+        assert ExperimentConfig(independent_removals=flag).independent_removals is bool(flag)
 
 
 @pytest.mark.parametrize(

@@ -21,13 +21,48 @@ from pcindex import (
     principal_eigen,
     remove_comparisons,
 )
-from tests.conftest import HUGE4_TEXT, random_complete
+from tests.conftest import HUGE4_TEXT, power_iteration_by_step, random_complete
 
 # closed-form principal pair of the 3x3 fixture: lambda = 1 + 2^(1/3) + 2^(-1/3),
 # weights proportional to (24^(1/3), (3/2)^(1/3), (1/36)^(1/3))
 TRI3_LAMBDA = 1.0 + 2.0 ** (1.0 / 3.0) + 2.0 ** (-1.0 / 3.0)
 TRI3_W = np.array([24.0, 1.5, 1.0 / 36.0]) ** (1.0 / 3.0)
 TRI3_W = TRI3_W / TRI3_W.sum()
+
+# weights 10**e of the benchmark's two fixed consistent 6x6 analyze inputs,
+# whose small weight components the stopping rule leaves unconverged
+FIXED6_EXPONENTS = (
+    (1.95, 7.82, -4.56, -5.44, 1.80, -7.30),
+    (-7.92, 5.14, 4.75, -0.51, -3.15, -3.55),
+)
+
+
+def _oliva_matrix(m):
+    """D^-1 (C - I) as oliva_index hands it to principal_eigen: missing entries 0, rows over their degrees."""
+    s = np.where(m.defined, m.values, 0.0) - np.eye(m.n)
+    return s / (m.defined.sum(axis=1) - 1.0)[:, None]
+
+
+def _spectral_inputs():
+    """(label, matrix) pairs of the kinds the spectral indices hand to principal_eigen."""
+    rng = np.random.default_rng(24)
+    out = []
+    for n in range(3, 9):
+        spare = (n - 1) * (n - 2) // 2
+        for _ in range(3):
+            full = random_complete(rng, n)
+            out += [("complete n=%d" % n, full.values), ("Oliva complete n=%d" % n, _oliva_matrix(full))]
+            for k, kind in ((int(rng.integers(1, spare + 1)), "incomplete"), (spare, "tree")):
+                m = remove_comparisons(full, k, rng)
+                out += [
+                    ("Harker %s n=%d" % (kind, n), harker_matrix(m)),
+                    ("Oliva %s n=%d" % (kind, n), _oliva_matrix(m)),
+                ]
+    for exponents in FIXED6_EXPONENTS:
+        w = [10.0**e for e in exponents]  # the benchmark's arithmetic, so its entries to the bit
+        m = PCMatrix([[a / b for b in w] for a in w])
+        out += [("fixed 6x6", m.values), ("Oliva fixed 6x6", _oliva_matrix(m))]
+    return out
 
 
 def test_principal_eigen_symmetric_known():
@@ -62,6 +97,56 @@ def test_principal_eigen_validates_input():
 def test_principal_eigen_not_converged(tri3):
     with pytest.raises(NotConverged):
         principal_eigen(tri3.values, max_iter=2)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, False, np.bool_(True), 2.5, 8.0, "8", None, np.int64(0)])
+def test_principal_eigen_refuses_a_bad_budget(bad):
+    # refused before the matrix is looked at, so not even shape errors come first
+    for a in (np.ones((3, 3)), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            principal_eigen(a, max_iter=bad)
+
+
+def test_principal_eigen_takes_numpy_integer_budgets(tri3):
+    want = principal_eigen(tri3.values)
+    for budget in (np.int64(200), np.int32(200), np.uint8(200)):
+        got = principal_eigen(tri3.values, max_iter=budget)
+        assert got.value == want.value and got.vector.tobytes() == want.vector.tobytes()
+
+
+def test_principal_eigen_equals_the_per_step_loop():
+    for label, a in _spectral_inputs():
+        want = power_iteration_by_step(a, pcindex.priority.EIGEN_MAX_ITER)
+        got = principal_eigen(a)
+        assert np.float64(got.value).tobytes() == np.float64(want[0]).tobytes(), label
+        assert got.vector.dtype == want[1].dtype and got.vector.tobytes() == want[1].tobytes(), label
+
+
+def test_principal_eigen_equals_the_per_step_loop_at_every_budget(tri3):
+    block = pcindex.priority._EIGEN_BLOCK
+    rng = np.random.default_rng(8)
+    # scaling a consistent matrix up shortens the iteration: from 22 steps
+    # (n=3) down to 1 (the uniform vector is the 2x2's eigenvector)
+    mats = [np.array([[2.0, 1.0], [1.0, 2.0]]), tri3.values]
+    mats += [gen_consistent(n, rng).values for n in range(3, 9)]
+    mats += [gen_consistent(4, rng).values * c for c in (2.0, 5.0, 10.0, 20.0, 30.0, 100.0, 1000.0)]
+    stops = set()
+    for a in mats:
+        stop = None
+        for budget in range(1, 3 * block + 1):
+            try:
+                want = power_iteration_by_step(a, budget)
+            except NotConverged as exc:
+                with pytest.raises(NotConverged) as got:
+                    principal_eigen(a, max_iter=budget)
+                assert str(got.value) == str(exc)
+                continue
+            got = principal_eigen(a, max_iter=budget)
+            assert got.value == want[0] and got.vector.tobytes() == want[1].tobytes()
+            stop = budget if stop is None else stop
+        stops.add(stop)
+    # the first converging budget is the stopping step: on, just past and inside blocks
+    assert {1, block - 1, block, block + 1, 2 * block, 2 * block + 1} <= stops
 
 
 def test_principal_eigen_periodic_pattern_converges():
